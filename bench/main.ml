@@ -1592,16 +1592,10 @@ let bench_router ?(shards = 4) ?(docs = 256) ?(clients = 8) ?(updates = 100)
       try rm_rf root with Sys_error _ | Unix.Unix_error _ -> ());
   let doc_name i = Printf.sprintf "doc-%03d.xml" i in
   let batch =
-    let buf = Buffer.create (docs * 64) in
-    for i = 0 to docs - 1 do
-      let payload =
-        Printf.sprintf "<d><w start=\"0\" end=\"5\"/>hello %d</d>" i
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%s %d\n%s\n" (doc_name i) (String.length payload)
-           payload)
-    done;
-    Buffer.contents buf
+    Standoff_server.Ingest_frame.encode
+      (List.init docs (fun i ->
+           ( doc_name i,
+             Printf.sprintf "<d><w start=\"0\" end=\"5\"/>hello %d</d>" i )))
   in
   let connect port =
     let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in

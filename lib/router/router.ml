@@ -1,16 +1,11 @@
 module Http = Standoff_server.Http
+module Listener = Standoff_server.Listener
+module Ingest_frame = Standoff_server.Ingest_frame
 module Metrics = Standoff_obs.Metrics
 module Timing = Standoff_util.Timing
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
-
-let m_requests code =
-  Metrics.counter "standoff_router_requests_total"
-    ~labels:[ ("code", string_of_int code) ]
-    ~help:"Router responses by status code"
-
-let count_response code = Metrics.incr (m_requests code)
 
 let m_restarts shard =
   Metrics.counter "standoff_router_shard_restarts_total"
@@ -80,25 +75,18 @@ type shard = {
   mutable restarts : int;
 }
 
-type state = Created | Running | Stopped
-
 type t = {
   cfg : config;
   shards : shard array;
   ring : Chash.t;
-  listen_fd : Unix.file_descr;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  bound_port : int;
-  stopping : bool Atomic.t;
-  active_conns : int Atomic.t;
-  mutable acceptor : Thread.t option;
+  listener : Listener.t;
   mutable monitors : Thread.t list;
-  mutable state : state;
-  state_m : Mutex.t;
 }
 
-let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let close_noerr = Listener.close_noerr
+
+(* The receive/send timeout on client connections. *)
+let client_timeout_s = 30.0
 
 let create ?(config = default_config) specs =
   if specs = [] then invalid_arg "Router.create: no shards";
@@ -121,38 +109,27 @@ let create ?(config = default_config) specs =
            })
          specs)
   in
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen fd 128
-   with e ->
-     close_noerr fd;
-     raise e);
-  let bound_port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
+  let listener =
+    Listener.create
+      {
+        Listener.service = "router";
+        host = config.host;
+        port = config.port;
+        (* Proxying blocks on sockets, not CPU: one thread per admitted
+           connection, and no queue beyond them. *)
+        workers = config.max_conns;
+        queue_capacity = 0;
+        max_body_bytes = config.max_body_bytes;
+        max_requests_per_connection = max_int;
+        socket_timeout_s = client_timeout_s;
+        retry_after_s = config.retry_after_s;
+        auth_token = config.auth_token;
+      }
   in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  {
-    cfg = config;
-    shards;
-    ring;
-    listen_fd = fd;
-    wake_r;
-    wake_w;
-    bound_port;
-    stopping = Atomic.make false;
-    active_conns = Atomic.make 0;
-    acceptor = None;
-    monitors = [];
-    state = Created;
-    state_m = Mutex.create ();
-  }
+  { cfg = config; shards; ring; listener; monitors = [] }
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
+let stopping t = Listener.stopping t.listener
 let shard_of_doc t doc = Chash.shard t.ring doc
 
 let shard_by_name t name =
@@ -168,8 +145,11 @@ let shard_health sh =
   Mutex.unlock sh.sm;
   h
 
+(* The shard that owns document [doc]. *)
+let owner t doc = shard_by_name t (shard_of_doc t doc)
+
 let ready t =
-  (not (Atomic.get t.stopping))
+  (not (stopping t))
   && Array.for_all (fun sh -> shard_health sh = Ready) t.shards
 
 (* ------------------------------------------------------------------ *)
@@ -244,7 +224,7 @@ let spawn_shard sh =
 
 (* A sleep the stop path can cut short. *)
 let rec nap t s =
-  if s > 0.0 && not (Atomic.get t.stopping) then begin
+  if s > 0.0 && not (stopping t) then begin
     Thread.delay (Float.min s 0.1);
     nap t (s -. 0.1)
   end
@@ -261,7 +241,7 @@ let status_label = function
    WAL and its own [/healthz?ready=1] turns 200. *)
 let monitor t sh =
   let backoff = ref 0.2 in
-  while not (Atomic.get t.stopping) do
+  while not (stopping t) do
     (match sh.pid with
     | Some pid -> (
         let dead =
@@ -284,7 +264,7 @@ let monitor t sh =
               sh.name label !backoff;
             nap t !backoff;
             backoff := Float.min 5.0 (!backoff *. 2.0);
-            if not (Atomic.get t.stopping) then spawn_shard sh)
+            if not (stopping t) then spawn_shard sh)
     | None -> ());
     let up = probe_ready t sh in
     Mutex.lock sh.sm;
@@ -347,19 +327,9 @@ let terminate_children ~grace_s t =
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
 
-(* Raised by handlers; turned into a buffered JSON error reply. *)
-exception Reply of int * (string * string) list * string
-
-let fail ?(headers = []) status msg = raise (Reply (status, headers, msg))
-
-let json_error_body msg =
-  Printf.sprintf "{\"error\": \"%s\"}\n" (Metrics.json_escape msg)
-
-let respond fd ~keep_alive ?(headers = [])
-    ?(content_type = "application/json") status body =
-  count_response status;
-  Http.write_response fd ~status ~headers ~content_type ~keep_alive body;
-  keep_alive
+let fail = Listener.fail
+let json_reply = Listener.json_reply
+let text_reply = Listener.text_reply
 
 let unavailable t msg =
   fail 503 ~headers:[ ("Retry-After", string_of_int t.cfg.retry_after_s) ] msg
@@ -418,7 +388,7 @@ let doc_refs text =
    query is only routable when there is just one shard. *)
 let query_shard t (req : Http.request) =
   match Http.param req "context" with
-  | Some c -> shard_by_name t (shard_of_doc t c)
+  | Some c -> owner t c
   | None -> (
       match doc_refs req.Http.body with
       | [] ->
@@ -458,11 +428,12 @@ let head_content_type (head : Http.response_head) =
 
 (* Pipe one request to [sh] and its response back, re-chunked, as the
    bytes arrive — the router never buffers more than the chunk-writer
-   threshold of the body.  A shard failing before its status line is a
+   threshold of the body.  The reply commits to the shard's status on
+   the first body byte, so a shard failing before then is a buffered
    502; one dying mid-body aborts the client's chunk stream without
    the terminator, the same truncation signal the shard itself
    uses. *)
-let proxy t client_fd ~keep_alive sh (req : Http.request) =
+let proxy t sh (req : Http.request) =
   (match shard_health sh with
   | Ready -> ()
   | Starting | Down ->
@@ -475,90 +446,39 @@ let proxy t client_fd ~keep_alive sh (req : Http.request) =
         unavailable t (Printf.sprintf "shard %s refused connection" sh.name)
   in
   Metrics.incr (m_proxied sh.name);
-  Fun.protect
-    ~finally:(fun () -> close_noerr fd)
-    (fun () ->
-      let r = Http.reader fd in
-      let head =
-        try
-          Http.write_request fd ~meth:req.Http.meth ~target:req.Http.target
-            ~headers:(shard_headers t (Some req))
-            req.Http.body;
-          Http.read_response_head r
-        with
-        | Http.Closed | Http.Bad_request _ ->
-            fail 502 (Printf.sprintf "shard %s: bad response" sh.name)
-        | Unix.Unix_error (e, _, _) ->
-            fail 502
-              (Printf.sprintf "shard %s: %s" sh.name (Unix.error_message e))
+  let bad_gateway = function
+    | Unix.Unix_error (e, _, _) ->
+        Listener.json_error 502
+          (Printf.sprintf "shard %s: %s" sh.name (Unix.error_message e))
+    | _ ->
+        Listener.json_error 502
+          (Printf.sprintf "shard %s: bad response" sh.name)
+  in
+  let r = Http.reader fd in
+  match
+    Http.write_request fd ~meth:req.Http.meth ~target:req.Http.target
+      ~headers:(shard_headers t (Some req))
+      req.Http.body;
+    Http.read_response_head r
+  with
+  | exception e ->
+      close_noerr fd;
+      raise (Listener.Reply (bad_gateway e))
+  | head ->
+      let sf emit =
+        Fun.protect
+          ~finally:(fun () -> close_noerr fd)
+          (fun () -> Http.iter_response_body r head emit)
       in
-      (* Committed: from here on a failure can only truncate. *)
-      count_response head.Http.h_status;
-      Http.write_response_head client_fd ~status:head.Http.h_status
-        ~headers:(("X-Standoff-Shard", sh.name) :: relay_headers head)
-        ~content_type:(head_content_type head) ~keep_alive ();
-      let w = Http.chunk_writer client_fd in
-      match Http.iter_response_body r head (Http.chunk w) with
-      | () ->
-          Http.chunk_end w;
-          keep_alive
-      | exception exn ->
-          Printf.eprintf
-            "standoff-router: stream from shard %s aborted: %s\n%!" sh.name
-            (Printexc.to_string exn);
-          false)
+      {
+        Listener.status = head.Http.h_status;
+        headers = ("X-Standoff-Shard", sh.name) :: relay_headers head;
+        content_type = head_content_type head;
+        body = Listener.Stream { sf; on_error = bad_gateway };
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Fan-out endpoints                                                   *)
-
-(* Frame scan for bulk ingest: [<name> <length>\n] then exactly
-   [length] payload bytes, whitespace between frames skipped — the
-   same framing the server accepts, so sub-batches are rebuilt
-   verbatim. *)
-let scan_frames body on_part =
-  let n = String.length body in
-  let pos = ref 0 in
-  let skip_ws () =
-    while
-      !pos < n
-      && match body.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false
-    do
-      incr pos
-    done
-  in
-  skip_ws ();
-  if !pos >= n then fail 400 "empty ingest body";
-  while !pos < n do
-    let nl =
-      match String.index_from_opt body !pos '\n' with
-      | Some i -> i
-      | None -> fail 400 "truncated ingest frame header"
-    in
-    let header = String.trim (String.sub body !pos (nl - !pos)) in
-    let name, len =
-      match String.rindex_opt header ' ' with
-      | Some i -> (
-          let name = String.trim (String.sub header 0 i) in
-          let len_s =
-            String.sub header (i + 1) (String.length header - i - 1)
-          in
-          match int_of_string_opt len_s with
-          | Some l when l >= 0 && name <> "" -> (name, l)
-          | _ ->
-              fail 400
-                (Printf.sprintf "malformed ingest frame header %S" header))
-      | None ->
-          fail 400
-            (Printf.sprintf
-               "malformed ingest frame header %S (want \"<name> <length>\")"
-               header)
-    in
-    if nl + 1 + len > n then
-      fail 400 (Printf.sprintf "ingest frame %S: payload truncated" name);
-    on_part name (String.sub body (nl + 1) len);
-    pos := nl + 1 + len;
-    skip_ws ()
-  done
 
 (* Split a framed batch per shard and forward the sub-batches.  Each
    shard's ingest is atomic, so per-document outcomes are the outcome
@@ -566,31 +486,30 @@ let scan_frames body on_part =
    with its shard and status — partial failure is visible per
    document, and the overall status is 200 only when every sub-batch
    landed. *)
-let handle_ingest t client_fd ~keep_alive (req : Http.request) =
+let handle_ingest t (req : Http.request) =
   match Http.param req "name" with
-  | Some name ->
-      proxy t client_fd ~keep_alive (shard_by_name t (shard_of_doc t name)) req
+  | Some name -> proxy t (owner t name) req
   | None ->
       let per_shard : (string, Buffer.t * string list ref) Hashtbl.t =
         Hashtbl.create 8
       in
       let order = ref [] in
-      scan_frames req.Http.body (fun name payload ->
-          let sname = shard_of_doc t name in
-          let buf, docs =
-            match Hashtbl.find_opt per_shard sname with
-            | Some e -> e
-            | None ->
-                let e = (Buffer.create 1024, ref []) in
-                Hashtbl.add per_shard sname e;
-                order := sname :: !order;
-                e
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "%s %d\n" name (String.length payload));
-          Buffer.add_string buf payload;
-          Buffer.add_char buf '\n';
-          docs := name :: !docs);
+      let add_part name payload =
+        let sname = shard_of_doc t name in
+        let buf, docs =
+          match Hashtbl.find_opt per_shard sname with
+          | Some e -> e
+          | None ->
+              let e = (Buffer.create 1024, ref []) in
+              Hashtbl.add per_shard sname e;
+              order := sname :: !order;
+              e
+        in
+        Ingest_frame.add buf name payload;
+        docs := name :: !docs
+      in
+      (try Ingest_frame.scan req.Http.body add_part
+       with Ingest_frame.Malformed msg -> fail 400 msg);
       let order = List.rev !order in
       let forward sname =
         let sh = shard_by_name t sname in
@@ -648,14 +567,14 @@ let handle_ingest t client_fd ~keep_alive (req : Http.request) =
                  (Metrics.json_escape sname) st (Metrics.json_escape body))
         |> String.concat ", "
       in
-      respond client_fd ~keep_alive
+      json_reply
         (if all_ok then 200 else 502)
         (Printf.sprintf
            "{\"ok\": %b, \"docs\": [%s], \"shards\": [%s]}\n" all_ok docs_json
            shards_json)
 
 (* Broadcast: every shard snapshots; 200 only when all do. *)
-let handle_snapshot t client_fd ~keep_alive (req : Http.request) =
+let handle_snapshot t (req : Http.request) =
   let results =
     Array.to_list t.shards
     |> List.map (fun sh ->
@@ -678,7 +597,7 @@ let handle_snapshot t client_fd ~keep_alive (req : Http.request) =
              (Metrics.json_escape name) st (Metrics.json_escape resp))
     |> String.concat ", "
   in
-  respond client_fd ~keep_alive
+  json_reply
     (if all_ok then 200 else 502)
     (Printf.sprintf "{\"ok\": %b, \"shards\": [%s]}\n" all_ok body)
 
@@ -703,7 +622,7 @@ let relabel_line ~shard line =
               (String.sub line 0 sp ^ "{" ^ label ^ "}"
               ^ String.sub line sp (String.length line - sp)))
 
-let handle_metrics t client_fd ~keep_alive _req =
+let handle_metrics t _req =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Metrics.expose ());
   Array.iter
@@ -731,11 +650,12 @@ let handle_metrics t client_fd ~keep_alive _req =
            (Metrics.escape_label_value sh.name)
            up))
     t.shards;
-  respond client_fd ~keep_alive
-    ~content_type:"text/plain; version=0.0.4; charset=utf-8" 200
-    (Buffer.contents buf)
+  {
+    (text_reply 200 (Buffer.contents buf)) with
+    Listener.content_type = "text/plain; version=0.0.4; charset=utf-8";
+  }
 
-let handle_shards t client_fd ~keep_alive _req =
+let handle_shards t _req =
   let body =
     Array.to_list t.shards
     |> List.map (fun sh ->
@@ -755,253 +675,62 @@ let handle_shards t client_fd ~keep_alive _req =
              | None -> ""))
     |> String.concat ", "
   in
-  respond client_fd ~keep_alive 200
+  json_reply 200
     (Printf.sprintf "{\"vnodes\": %d, \"shards\": [%s]}\n"
        (Chash.vnodes t.ring) body)
 
-let handle_healthz t client_fd ~keep_alive (req : Http.request) =
-  let want_ready =
-    match Http.param req "ready" with
-    | None -> false
-    | Some v -> (
-        match String.lowercase_ascii (String.trim v) with
-        | "off" | "0" | "false" | "no" -> false
-        | _ -> true)
-  in
-  if not want_ready then
-    respond client_fd ~keep_alive ~content_type:"text/plain; charset=utf-8" 200
-      "ok\n"
+let handle_healthz t req =
+  if Listener.bool_param req "ready" <> Some true then text_reply 200 "ok\n"
   else
     let laggards =
       Array.to_list t.shards
       |> List.filter (fun sh -> shard_health sh <> Ready)
       |> List.map (fun sh -> sh.name)
     in
-    if laggards = [] && not (Atomic.get t.stopping) then
-      respond client_fd ~keep_alive ~content_type:"text/plain; charset=utf-8"
-        200 "ready\n"
+    if laggards = [] && not (stopping t) then text_reply 200 "ready\n"
     else
-      respond client_fd ~keep_alive
+      text_reply 503
         ~headers:[ ("Retry-After", string_of_int t.cfg.retry_after_s) ]
-        ~content_type:"text/plain; charset=utf-8" 503
-        (if Atomic.get t.stopping then "draining\n"
-         else
-           Printf.sprintf "not ready: %s\n" (String.concat ", " laggards))
+        (if stopping t then "draining\n"
+         else Printf.sprintf "not ready: %s\n" (String.concat ", " laggards))
 
-(* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
-
-let protected_path path =
-  match path with
-  | "/query" | "/update" | "/ingest" -> true
-  | _ -> String.length path >= 7 && String.sub path 0 7 = "/admin/"
-
-let authorized t (req : Http.request) =
-  match t.cfg.auth_token with
-  | None -> true
-  | Some token when protected_path req.Http.path -> (
-      match Http.bearer_token req.Http.headers with
-      | Some presented -> Http.const_time_eq token presented
-      | None -> false)
-  | Some _ -> true
-
-let known_paths =
+let routes t =
+  let route = Listener.route in
   [
-    ("/query", [ "POST" ]);
-    ("/update", [ "POST" ]);
-    ("/ingest", [ "POST" ]);
-    ("/admin/snapshot", [ "POST" ]);
-    ("/metrics", [ "GET" ]);
-    ("/shards", [ "GET" ]);
-    ("/healthz", [ "GET" ]);
+    route "/query" [ "POST" ] ~protected:true (fun req ->
+        proxy t (query_shard t req) req);
+    route "/update" [ "POST" ] ~protected:true (fun req ->
+        match Http.param req "doc" with
+        | Some doc -> proxy t (owner t doc) req
+        | None -> fail 400 "missing required doc parameter");
+    route "/ingest" [ "POST" ] ~protected:true (handle_ingest t);
+    route "/admin/snapshot" [ "POST" ] ~protected:true (handle_snapshot t);
+    route "/metrics" [ "GET" ] (handle_metrics t);
+    route "/shards" [ "GET" ] (handle_shards t);
+    route "/healthz" [ "GET" ] (handle_healthz t);
   ]
-
-let handle t client_fd ~keep_alive (req : Http.request) =
-  try
-    if not (authorized t req) then
-      respond client_fd ~keep_alive
-        ~headers:[ ("WWW-Authenticate", "Bearer") ]
-        401
-        (json_error_body "missing or invalid bearer token")
-    else
-      match (req.Http.meth, req.Http.path) with
-      | "GET", "/healthz" -> handle_healthz t client_fd ~keep_alive req
-      | "GET", "/metrics" -> handle_metrics t client_fd ~keep_alive req
-      | "GET", "/shards" -> handle_shards t client_fd ~keep_alive req
-      | "POST", "/query" ->
-          proxy t client_fd ~keep_alive (query_shard t req) req
-      | "POST", "/update" ->
-          let doc =
-            match Http.param req "doc" with
-            | Some d -> d
-            | None -> fail 400 "missing required doc parameter"
-          in
-          proxy t client_fd ~keep_alive
-            (shard_by_name t (shard_of_doc t doc))
-            req
-      | "POST", "/ingest" -> handle_ingest t client_fd ~keep_alive req
-      | "POST", "/admin/snapshot" -> handle_snapshot t client_fd ~keep_alive req
-      | meth, path -> (
-          match List.assoc_opt path known_paths with
-          | Some allowed ->
-              respond client_fd ~keep_alive
-                ~headers:[ ("Allow", String.concat ", " allowed) ]
-                405
-                (json_error_body ("method not allowed: " ^ meth))
-          | None -> respond client_fd ~keep_alive 404
-                      (json_error_body ("no such endpoint: " ^ path)))
-  with
-  | Reply (status, headers, msg) ->
-      respond client_fd ~keep_alive ~headers status (json_error_body msg)
-  | Unix.Unix_error _ as e -> raise e
-  | exn -> (
-      Printf.eprintf "standoff-router: internal error on %s %s: %s\n%!"
-        req.Http.meth req.Http.target (Printexc.to_string exn);
-      try
-        respond client_fd ~keep_alive:false 500
-          (json_error_body "internal router error")
-      with Unix.Unix_error _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Connection serving                                                  *)
-
-let serve_connection t fd =
-  (try
-     Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0;
-     (* Proxied replies leave as head + chunks in separate small
-        writes; without TCP_NODELAY, Nagle holds each one for the
-        peer's delayed ACK (~40ms per routed request). *)
-     Unix.setsockopt fd Unix.TCP_NODELAY true
-   with Unix.Unix_error _ -> ());
-  let reader = Http.reader fd in
-  let continue = ref true in
-  while !continue do
-    continue := false;
-    match Http.read_request ~max_body:t.cfg.max_body_bytes reader with
-    | exception Http.Closed -> ()
-    | exception
-        Unix.Unix_error
-          ((EAGAIN | EWOULDBLOCK | ETIMEDOUT | ECONNRESET | EPIPE | EBADF), _, _)
-      ->
-        ()
-    | exception Http.Bad_request msg -> (
-        try ignore (respond fd ~keep_alive:false 400 (json_error_body msg))
-        with Unix.Unix_error _ -> ())
-    | exception Http.Not_implemented msg -> (
-        try ignore (respond fd ~keep_alive:false 501 (json_error_body msg))
-        with Unix.Unix_error _ -> ())
-    | exception Http.Payload_too_large cap -> (
-        try
-          ignore
-            (respond fd ~keep_alive:false 413
-               (json_error_body
-                  (Printf.sprintf "request body exceeds %d bytes" cap)))
-        with Unix.Unix_error _ -> ())
-    | req -> (
-        let keep_alive =
-          Http.wants_keep_alive req && not (Atomic.get t.stopping)
-        in
-        match handle t fd ~keep_alive req with
-        | ka -> continue := ka
-        | exception Unix.Unix_error _ -> ())
-  done
-
-let shed t fd =
-  (try
-     Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.0;
-     ignore
-       (respond fd ~keep_alive:false
-          ~headers:[ ("Retry-After", string_of_int t.cfg.retry_after_s) ]
-          503
-          (json_error_body "router overloaded"))
-   with Unix.Unix_error _ -> ());
-  close_noerr fd
-
-let rec accept_loop t =
-  if Atomic.get t.stopping then ()
-  else
-    match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
-    | exception Unix.Unix_error ((EINTR | EAGAIN), _, _) -> accept_loop t
-    | exception Unix.Unix_error (EBADF, _, _) -> ()
-    | ready_fds, _, _ ->
-        if List.mem t.wake_r ready_fds then ()
-        else begin
-          (match Unix.accept ~cloexec:true t.listen_fd with
-          | exception
-              Unix.Unix_error
-                ((EBADF | EINVAL | ECONNABORTED | EINTR | EAGAIN), _, _) ->
-              ()
-          | fd, _ ->
-              if Atomic.get t.stopping then close_noerr fd
-              else if Atomic.get t.active_conns >= t.cfg.max_conns then
-                shed t fd
-              else begin
-                Atomic.incr t.active_conns;
-                ignore
-                  (Thread.create
-                     (fun fd ->
-                       Fun.protect
-                         ~finally:(fun () ->
-                           close_noerr fd;
-                           Atomic.decr t.active_conns)
-                         (fun () ->
-                           try serve_connection t fd
-                           with exn ->
-                             Printf.eprintf "standoff-router: connection: %s\n%!"
-                               (Printexc.to_string exn)))
-                     fd)
-              end);
-          accept_loop t
-        end
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
+(* Connection workers are threads: proxying blocks on sockets, not on
+   CPU. *)
+let spawn_worker run =
+  let th = Thread.create run () in
+  fun () -> Thread.join th
+
 let start t =
-  Mutex.lock t.state_m;
-  (match t.state with
-  | Created -> t.state <- Running
-  | _ ->
-      Mutex.unlock t.state_m;
-      invalid_arg "Standoff_router.Router.start: already started");
-  Mutex.unlock t.state_m;
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
+  Listener.start t.listener ~spawn:spawn_worker (routes t);
   Array.iter spawn_shard t.shards;
   t.monitors <-
     Array.to_list
-      (Array.map (fun sh -> Thread.create (fun () -> monitor t sh) ()) t.shards);
-  t.acceptor <- Some (Thread.create accept_loop t)
+      (Array.map (fun sh -> Thread.create (fun () -> monitor t sh) ()) t.shards)
 
 let stop ?(grace_s = 5.0) t =
-  let prev =
-    Mutex.lock t.state_m;
-    let p = t.state in
-    t.state <- Stopped;
-    Mutex.unlock t.state_m;
-    p
-  in
-  match prev with
-  | Stopped -> ()
-  | Created ->
-      close_noerr t.listen_fd;
-      close_noerr t.wake_r;
-      close_noerr t.wake_w
-  | Running ->
-      Atomic.set t.stopping true;
-      (try ignore (Unix.write_substring t.wake_w "x" 0 1)
-       with Unix.Unix_error _ -> ());
-      (match t.acceptor with Some th -> Thread.join th | None -> ());
-      close_noerr t.listen_fd;
-      close_noerr t.wake_r;
-      close_noerr t.wake_w;
-      (* Let in-flight proxying drain; connection threads exit on
-         their own once their client goes away or times out. *)
-      let deadline = Timing.now () +. grace_s in
-      while Atomic.get t.active_conns > 0 && Timing.now () < deadline do
-        Thread.delay 0.02
-      done;
-      List.iter Thread.join t.monitors;
-      t.monitors <- [];
-      terminate_children ~grace_s t
+  let was_running = Listener.running t.listener in
+  Listener.stop t.listener ~grace_s;
+  if was_running then begin
+    List.iter Thread.join t.monitors;
+    t.monitors <- [];
+    terminate_children ~grace_s t
+  end

@@ -16,7 +16,12 @@
       shard's response streams back as it arrives — chunked transfer
       encoding, bounded router memory — with an [X-Standoff-Shard]
       header naming the backend; pass [?stream=1] through to stream
-      end-to-end off the shard's serializer too.
+      end-to-end off the shard's serializer too.  The reply commits to
+      the shard's status only with the first body byte: a shard that
+      fails before then (no response, a bad head, or a body that ends
+      before its first byte) answers a buffered [502] naming the
+      shard; one that fails after it truncates the chunked body (no
+      terminating chunk) and closes the client connection.
     - [POST /update] — routed by the required [?doc=].
     - [POST /ingest] — with [?name=], routed whole by that name;
       framed batches are split per shard by document name and
@@ -45,12 +50,16 @@
     (SIGTERM, then SIGKILL after the grace).  External shards (no
     [sp_spawn]) are probed but never spawned.
 
-    When [config.auth_token] is set the router enforces
-    [Authorization: Bearer] on [/query], [/update], [/ingest] and
-    [/admin/*] exactly as the server does (constant-time compare,
-    [401] + [WWW-Authenticate] otherwise); [config.shard_token] is
-    what the router presents to the shards, letting the whole interior
-    run token-protected too. *)
+    Connection handling is {!Standoff_server.Listener}'s, exactly as
+    the server's: bearer auth on [/query], [/update], [/ingest] and
+    [/admin/snapshot] when [config.auth_token] is set, load shedding
+    past [config.max_conns] connections ([503] + [Retry-After]),
+    keep-alive, the [400]/[413]/[501] read errors, [405]/[404] dispatch
+    from {!routes}, and the drain of {!stop}.  Its workers are
+    [config.max_conns] threads, since proxying blocks on sockets; client
+    sockets time out after 30 s.  [config.shard_token] is what the
+    router presents to the shards, letting the whole interior run
+    token-protected too. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
@@ -101,8 +110,12 @@ val ready : t -> bool
     @raise Invalid_argument if already started. *)
 val start : t -> unit
 
-(** [stop ?grace_s t] shuts down: stop accepting, give in-flight
-    proxying up to [grace_s] (default 5 s) to drain, SIGTERM managed
-    shards and SIGKILL whatever ignores it past the grace.
-    Idempotent. *)
+(** [stop ?grace_s t] shuts down: {!Standoff_server.Listener.stop} with
+    [grace_s] (default 5 s) — in-flight proxying drains, and connections
+    still open after the grace, idle keep-alive ones included, are shut
+    down — then SIGTERM managed shards and SIGKILL whatever ignores it
+    past the grace.  Idempotent. *)
 val stop : ?grace_s:float -> t -> unit
+
+(** The route table {!start} serves: one entry per endpoint above. *)
+val routes : t -> Standoff_server.Listener.route list

@@ -45,21 +45,18 @@
       see {!create_deferred}), 503 ["draining"] during graceful
       shutdown, 200 ["ready"] otherwise.
 
-    When [config.auth_token] is set, [POST /query], [/update],
-    [/ingest] and everything under [/admin/] require
-    [Authorization: Bearer <token>] and answer [401] (with
-    [WWW-Authenticate: Bearer]) otherwise; the comparison is
-    constant-time.  [/healthz] and [/metrics] stay open so probes and
-    scrapers need no credentials.  A request with a chunked body is
-    refused with [501] (bodies must carry [Content-Length]).
-
-    Production behaviors: admission control (a bounded pending
-    connection queue; the acceptor sheds load with
-    [503] + [Retry-After] when it is full), per-request deadlines,
-    socket read/write timeouts, a request body cap ([413]), keep-alive
-    with a per-connection request bound, and graceful shutdown
-    ({!stop}: stop accepting, drain queued and in-flight requests up
-    to a grace period, then force-close).
+    Connection handling is {!Listener}'s: bearer auth, admission
+    control with load shedding ([503] + [Retry-After]), keep-alive,
+    the [400]/[413]/[501] read errors, [405]/[404] dispatch from
+    {!routes}, and the graceful drain of {!stop}.  The server supplies
+    its route table and runs its {!Listener} workers on domains
+    reserved against the process domain budget.  When
+    [config.auth_token] is set, [/query], [/update], [/ingest] and
+    [/admin/snapshot] require the token; [/healthz], [/metrics],
+    [/slow] and [/explain] stay open so probes and scrapers need no
+    credentials.  On/off parameters ([cache], [dataguide], [stream],
+    [ready]) take [on]/[1]/[true]/[yes] and [off]/[0]/[false]/[no]
+    ([cache] also [result] and [plan]); any other value is a [400].
 
     Queries run concurrently on worker domains under the shared side
     of a readers–writer lock; updates and node-constructing queries
@@ -91,7 +88,7 @@ type config = {
   grace_s : float;  (** {!stop}'s default drain budget *)
   retry_after_s : int;  (** the [Retry-After] value on shed 503s *)
   auth_token : string option;
-      (** when set, [/query], [/update], [/ingest] and [/admin/*]
+      (** when set, [/query], [/update], [/ingest] and [/admin/snapshot]
           require [Authorization: Bearer <token>]; compared in
           constant time.  Default [None] (no authentication) *)
 }
@@ -151,14 +148,13 @@ val engine : t -> Standoff_xquery.Engine.t
     @raise Invalid_argument if the server was already started. *)
 val start : t -> unit
 
-(** [stop ?grace_s t] shuts down gracefully: stop accepting, let the
-    workers drain queued and in-flight requests (keep-alive
-    connections are told [Connection: close] on their next response),
-    and after [grace_s] (default from the configuration) force-close
-    whatever is still open.  Blocks until every worker has exited.
-    Idempotent; safe to call from any thread, but not from a signal
-    handler — have the handler set a flag instead. *)
+(** [stop ?grace_s t] is {!Listener.stop} with [grace_s] defaulting to
+    the configuration's.  Idempotent; safe to call from any thread, but
+    not from a signal handler — have the handler set a flag instead. *)
 val stop : ?grace_s:float -> t -> unit
 
 (** Whether {!start} has run and {!stop} has not completed. *)
 val running : t -> bool
+
+(** The route table {!start} serves: one entry per endpoint above. *)
+val routes : t -> Listener.route list

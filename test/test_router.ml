@@ -14,6 +14,8 @@ module Config = Standoff.Config
 module Engine = Standoff_xquery.Engine
 module Http = Standoff_server.Http
 module Server = Standoff_server.Server
+module Listener = Standoff_server.Listener
+module Ingest_frame = Standoff_server.Ingest_frame
 module Router = Standoff_router.Router
 module Chash = Standoff_router.Chash
 
@@ -51,7 +53,7 @@ let shard_doc_xml =
    <w start=\"1\" end=\"3\"/><w start=\"4\" end=\"6\"/>\
    <w start=\"7\" end=\"9\"/></t>"
 
-let frame name xml = Printf.sprintf "%s %d\n%s\n" name (String.length xml) xml
+let frame name xml = Ingest_frame.encode [ (name, xml) ]
 let words_query name = Printf.sprintf "doc(\"%s\")//p/select-narrow::w" name
 let count_query name = Printf.sprintf "count(doc(\"%s\")//p/select-narrow::c)" name
 
@@ -469,6 +471,142 @@ let test_readiness_tracks_shards () =
            ~target:(Printf.sprintf "/ingest?name=%s&convert=none" on_dead)
            shard_doc_xml))
 
+(* ---------------- listener behaviour through the router ---------- *)
+
+let test_route_table () =
+  with_routed (fun router ->
+      let p = Router.port router in
+      List.iter
+        (fun (r : Listener.route) ->
+          let wrong =
+            List.find
+              (fun m -> not (List.mem m r.Listener.methods))
+              [ "DELETE"; "PUT"; "GET"; "POST" ]
+          in
+          let resp = oneshot p ~meth:wrong ~target:r.Listener.path "" in
+          check_status (wrong ^ " " ^ r.Listener.path) 405 resp;
+          Alcotest.(check (option string))
+            (r.Listener.path ^ " Allow")
+            (Some (String.concat ", " r.Listener.methods))
+            (Http.response_header resp "allow"))
+        (Router.routes router);
+      check_status "unknown path" 404
+        (oneshot p ~meth:"GET" ~target:"/admin/nope" "");
+      check_status "malformed ready" 400
+        (oneshot p ~meth:"GET" ~target:"/healthz?ready=soon" "");
+      check_status "ready spelled yes" 200
+        (oneshot p ~meth:"GET" ~target:"/healthz?ready=yes" ""))
+
+let test_ingest_frame_overflow () =
+  with_routed (fun router ->
+      let r =
+        oneshot (Router.port router) ~meth:"POST" ~target:"/ingest"
+          "a.xml 4611686018427387903\n<x/>\n"
+      in
+      check_status "huge frame length" 400 r;
+      Alcotest.(check bool)
+        "diagnosed as truncation" true
+        (contains "ingest frame \\\"a.xml\\\": payload truncated" r.Http.r_body))
+
+let test_stop_closes_idle_keep_alive () =
+  (* An idle keep-alive client must not hold [stop] — or its worker —
+     past the grace period: the listener shuts the socket down and the
+     client reads EOF. *)
+  let s0 = start_shard () in
+  let router =
+    Router.create ~config:{ Router.default_config with port = 0 }
+      [ spec_of "sh0" s0 ]
+  in
+  Router.start router;
+  let fd = connect (Router.port router) in
+  Fun.protect
+    ~finally:(fun () ->
+      close_noerr fd;
+      Router.stop router;
+      Server.stop s0)
+    (fun () ->
+      let reader = Http.reader fd in
+      let r = request reader fd ~meth:"GET" ~target:"/healthz" "" in
+      check_status "kept-alive request" 200 r;
+      Alcotest.(check (option string))
+        "connection stays open" (Some "keep-alive")
+        (Http.response_header r "connection");
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+      let t0 = Unix.gettimeofday () in
+      Router.stop ~grace_s:0.5 router;
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "stop returns promptly (%.2fs)" dt)
+        true (dt < 1.5);
+      Alcotest.(check bool) "client reads EOF" true
+        (match Http.read_response reader with
+        | _ -> false
+        | exception Http.Closed -> true
+        | exception Unix.Unix_error _ -> false))
+
+(* A shard that is ready, but answers every proxied request with a head
+   promising a body it never sends. *)
+let with_headless_shard f =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 16;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let stop = Atomic.make false in
+  let serve fd =
+    match Http.read_request (Http.reader fd) with
+    | { Http.path = "/healthz"; _ } ->
+        Http.write_response fd ~status:200 ~keep_alive:false "ready\n"
+    | _ ->
+        let head = "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" in
+        ignore (Unix.write_substring fd head 0 (String.length head))
+  in
+  let th =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          match Unix.select [ lfd ] [] [] 0.05 with
+          | [], _, _ -> ()
+          | _ ->
+              let fd, _ = Unix.accept ~cloexec:true lfd in
+              (try serve fd with _ -> ());
+              close_noerr fd
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join th;
+      close_noerr lfd)
+    (fun () -> f port)
+
+let test_proxy_502_before_first_byte () =
+  with_headless_shard (fun shard_port ->
+      let router =
+        Router.create ~config:{ Router.default_config with port = 0 }
+          [
+            { Router.sp_name = "sh0"; sp_host = "127.0.0.1"; sp_port = shard_port;
+              sp_spawn = None };
+          ]
+      in
+      Router.start router;
+      Fun.protect
+        ~finally:(fun () -> Router.stop ~grace_s:1.0 router)
+        (fun () ->
+          Alcotest.(check bool) "router ready" true (wait_router_ready router);
+          let r = oneshot (Router.port router) ~meth:"POST" ~target:"/query" "1" in
+          check_status "buffered 502" 502 r;
+          Alcotest.(check (option string))
+            "not chunked" None
+            (Http.response_header r "transfer-encoding");
+          Alcotest.(check bool) "names the shard" true
+            (contains "shard sh0" r.Http.r_body)))
+
 let () =
   Alcotest.run "router"
     [
@@ -485,16 +623,27 @@ let () =
             `Quick test_routed_byte_identical;
           Alcotest.test_case "routing rules (context, refs, 400s)" `Quick
             test_routing_rules;
+          Alcotest.test_case "route table drives 405 and 404" `Quick
+            test_route_table;
+          Alcotest.test_case "shard failure before the first byte is a 502"
+            `Quick test_proxy_502_before_first_byte;
         ] );
       ( "ingest",
         [
           Alcotest.test_case "split batches, partial failure per document"
             `Quick test_ingest_partial_failure;
+          Alcotest.test_case "huge frame length is a truncation 400" `Quick
+            test_ingest_frame_overflow;
         ] );
       ( "auth", [ Alcotest.test_case "bearer on both hops" `Quick test_auth ] );
       ( "readiness",
         [
           Alcotest.test_case "readiness tracks shard health" `Quick
             test_readiness_tracks_shards;
+        ] );
+      ( "lifecycle",
+        [
+          Alcotest.test_case "stop closes idle keep-alive connections" `Quick
+            test_stop_closes_idle_keep_alive;
         ] );
     ]

@@ -15,6 +15,8 @@ module Timing = Standoff_util.Timing
 module Trace = Standoff_obs.Trace
 module Http = Standoff_server.Http
 module Server = Standoff_server.Server
+module Listener = Standoff_server.Listener
+module Ingest_frame = Standoff_server.Ingest_frame
 module Pool = Standoff_util.Pool
 
 (* ---------------- fixtures ---------------- *)
@@ -411,9 +413,7 @@ let test_ingest_endpoint () =
         in
         scan 0
       in
-      let frame name xml =
-        Printf.sprintf "%s %d\n%s\n" name (String.length xml) xml
-      in
+      let frame name xml = Ingest_frame.encode [ (name, xml) ] in
       let body =
         frame "t1.xml" "<p>The <w>quick</w> <w>fox</w></p>"
         ^ frame "t2.xml" "<p><w>jumps</w></p>"
@@ -763,6 +763,158 @@ let test_deadline_during_serialization () =
   in
   Alcotest.(check string) "engine unharmed" expected again
 
+(* ---------------- route table and on/off parameters ---------------- *)
+
+let contains needle hay =
+  let n = String.length needle and m = String.length hay in
+  let rec scan i = i + n <= m && (String.sub hay i n = needle || scan (i + 1)) in
+  scan 0
+
+(* Every route refuses a method it does not list with 405 and an Allow
+   header equal to the route's own methods; a path off the table is a
+   404.  Shared with test_router through the same shape. *)
+let test_route_table () =
+  with_server (fun srv ->
+      let p = Server.port srv in
+      List.iter
+        (fun (r : Listener.route) ->
+          let wrong =
+            List.find
+              (fun m -> not (List.mem m r.Listener.methods))
+              [ "DELETE"; "PUT"; "GET"; "POST" ]
+          in
+          let resp = oneshot p ~meth:wrong ~target:r.Listener.path "" in
+          check_status (wrong ^ " " ^ r.Listener.path) 405 resp;
+          Alcotest.(check (option string))
+            (r.Listener.path ^ " Allow")
+            (Some (String.concat ", " r.Listener.methods))
+            (Http.response_header resp "allow"))
+        (Server.routes srv);
+      check_status "unknown path" 404
+        (oneshot p ~meth:"GET" ~target:"/admin/nope" ""))
+
+let test_on_off_params () =
+  with_server (fun srv ->
+      let p = Server.port srv in
+      List.iter
+        (fun (target, expected) ->
+          check_status target expected
+            (oneshot p ~meth:"POST" ~target narrow_count))
+        [
+          ("/query?cache=result", 200);
+          ("/query?cache=plan", 200);
+          ("/query?cache=%20Off%20", 200);
+          ("/query?cache=maybe", 400);
+          ("/query?dataguide=no", 200);
+          ("/query?dataguide=sometimes", 400);
+          ("/query?stream=yes", 200);
+          ("/query?stream=2", 400);
+        ];
+      List.iter
+        (fun (target, expected, body) ->
+          let r = oneshot p ~meth:"GET" ~target "" in
+          check_status target expected r;
+          Alcotest.(check bool) (target ^ " body") true (contains body r.Http.r_body))
+        [
+          ("/healthz?ready=TRUE", 200, "ready");
+          ("/healthz?ready=off", 200, "ok");
+          ("/healthz?ready=soon", 400, "malformed ready");
+        ])
+
+(* ---------------- ingest framing ---------------- *)
+
+let test_ingest_frame_overflow () =
+  (* A length near max_int once wrapped the bounds check and surfaced
+     as String.sub's Invalid_argument. *)
+  with_server (fun srv ->
+      let r =
+        oneshot (Server.port srv) ~meth:"POST" ~target:"/ingest"
+          "a.xml 4611686018427387903\n<x/>\n"
+      in
+      check_status "huge frame length" 400 r;
+      Alcotest.(check bool)
+        "diagnosed as truncation" true
+        (contains "ingest frame \\\"a.xml\\\": payload truncated" r.Http.r_body))
+
+let scan_all body =
+  let parts = ref [] in
+  Ingest_frame.scan body (fun name payload -> parts := (name, payload) :: !parts);
+  List.rev !parts
+
+(* Names [scan] gives back unchanged: any bytes but a newline, no
+   surrounding whitespace. *)
+let frame_name_gen =
+  QCheck.Gen.(
+    map
+      (fun s ->
+        match String.trim (String.map (function '\n' -> '_' | c -> c) s) with
+        | "" -> "d.xml"
+        | s -> s)
+      (string_size ~gen:char (int_range 1 16)))
+
+let frames_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 6)
+      (pair frame_name_gen (string_size ~gen:char (int_range 0 64))))
+
+let frames_print = QCheck.Print.(list (pair string string))
+
+let qcheck_frame_roundtrip =
+  QCheck.Test.make ~name:"ingest frames: encode then scan round-trips"
+    ~count:500
+    (QCheck.make ~print:frames_print frames_gen)
+    (fun parts -> scan_all (Ingest_frame.encode parts) = parts)
+
+(* A mutated body either scans or raises Malformed — any other
+   exception fails the property. *)
+let scans_or_malformed body =
+  match scan_all body with
+  | _ -> true
+  | exception Ingest_frame.Malformed _ -> true
+
+let qcheck_frame_hostile =
+  let mutation =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun k -> `Truncate k) nat;
+          map2 (fun k c -> `Flip (k, c)) nat char;
+          map2
+            (fun k len -> `Length (k, len))
+            nat
+            (oneof
+               [
+                 int;
+                 oneofl [ max_int; max_int - 1; min_int; -1; 0 ];
+                 int_range 0 200;
+               ]);
+        ])
+  in
+  QCheck.Test.make ~name:"ingest frames: hostile bodies raise only Malformed"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (parts, _) -> frames_print parts)
+       QCheck.Gen.(pair frames_gen mutation))
+    (fun (parts, m) ->
+      let body = Ingest_frame.encode parts in
+      let n = String.length body in
+      match m with
+      | `Truncate k -> scans_or_malformed (String.sub body 0 (k mod (n + 1)))
+      | `Flip (k, c) ->
+          let b = Bytes.of_string body in
+          Bytes.set b (k mod n) c;
+          scans_or_malformed (Bytes.to_string b)
+      | `Length (k, len) ->
+          (* Frame [k]'s header announces [len] bytes instead. *)
+          let k = k mod List.length parts in
+          let buf = Buffer.create n in
+          List.iteri
+            (fun i (name, payload) ->
+              if i = k then Printf.bprintf buf "%s %d\n%s\n" name len payload
+              else Ingest_frame.add buf name payload)
+            parts;
+          scans_or_malformed (Buffer.contents buf))
+
 (* ---------------- http unit bits ---------------- *)
 
 let test_url_codec () =
@@ -803,6 +955,9 @@ let () =
           Alcotest.test_case "body cap 413" `Quick test_body_cap;
           Alcotest.test_case "routing + metrics + healthz" `Quick test_routing;
           Alcotest.test_case "url codec" `Quick test_url_codec;
+          Alcotest.test_case "route table drives 405 and 404" `Quick
+            test_route_table;
+          Alcotest.test_case "on/off parameters" `Quick test_on_off_params;
         ] );
       ( "query",
         [
@@ -827,6 +982,8 @@ let () =
         [
           Alcotest.test_case "bulk ingest over HTTP" `Quick
             test_ingest_endpoint;
+          Alcotest.test_case "huge frame length is a truncation 400" `Quick
+            test_ingest_frame_overflow;
           Alcotest.test_case "query-update-query over HTTP" `Quick
             test_update_then_query;
           Alcotest.test_case "concurrent clients vs update" `Quick
@@ -847,6 +1004,11 @@ let () =
         [
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
           Alcotest.test_case "stop idempotent" `Quick test_stop_idempotent;
+        ] );
+      ( "framing",
+        [
+          QCheck_alcotest.to_alcotest qcheck_frame_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_frame_hostile;
         ] );
       ( "engine",
         [
