@@ -468,7 +468,7 @@ let index_cmd =
         Printf.printf "%12s %12s %8s  %s\n" "start" "end" "id" "element";
         for row = 0 to Standoff.Region_index.row_count idx - 1 do
           let pre = idx.Standoff.Region_index.ids.(row) in
-          Printf.printf "%12Ld %12Ld %8d  %s%s\n"
+          Printf.printf "%12d %12d %8d  %s%s\n"
             idx.Standoff.Region_index.starts.(row)
             idx.Standoff.Region_index.ends.(row)
             pre

@@ -30,13 +30,13 @@ let no_callbacks =
 (* Shared: the per-iteration table backing the single-region
    skip/replace refinements.                                          *)
 
-type per_iter = (int, int64 * int) Hashtbl.t
+type per_iter = (int, int * int) Hashtbl.t
 
 (* ------------------------------------------------------------------ *)
 (* Sorted list (the paper's structure)                                *)
 
 type list_impl = {
-  l_ends : int64 Vec.t;  (* descending *)
+  l_ends : int Vec.t;  (* descending *)
   l_iters : int Vec.t;
   l_ctxs : int Vec.t;
 }
@@ -46,7 +46,7 @@ let list_position_below li e =
   let lo = ref 0 and hi = ref (Vec.length li.l_ends) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.compare (Vec.get li.l_ends mid) e >= 0 then lo := mid + 1
+    if Vec.get li.l_ends mid >= e then lo := mid + 1
     else hi := mid
   done;
   !lo
@@ -61,20 +61,20 @@ let list_find_slot li ~iter ~end_ =
   let lo = ref 0 and hi = ref (Vec.length li.l_ends) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Int64.compare (Vec.get li.l_ends mid) end_ > 0 then lo := mid + 1
+    if Vec.get li.l_ends mid > end_ then lo := mid + 1
     else hi := mid
   done;
   let pos = ref !lo in
   while
     !pos < Vec.length li.l_ends
-    && Int64.equal (Vec.get li.l_ends !pos) end_
+    && Vec.get li.l_ends !pos = end_
     && Vec.get li.l_iters !pos <> iter
   do
     incr pos
   done;
   if
     !pos < Vec.length li.l_ends
-    && Int64.equal (Vec.get li.l_ends !pos) end_
+    && Vec.get li.l_ends !pos = end_
     && Vec.get li.l_iters !pos = iter
   then Some !pos
   else None
@@ -94,11 +94,11 @@ let list_insert li ~iter ~ctx ~end_ =
    entries are skipped on contact and both heaps are rebuilt when they
    outnumber the live ones. *)
 type heap_impl = {
-  mutable max_ends : int64 array;
+  mutable max_ends : int array;
   mutable max_iters : int array;
   mutable max_ctxs : int array;
   mutable max_len : int;
-  mutable min_ends : int64 array;
+  mutable min_ends : int array;
   mutable min_iters : int array;
   mutable min_ctxs : int array;
   mutable min_len : int;
@@ -106,11 +106,11 @@ type heap_impl = {
 
 let heap_make () =
   {
-    max_ends = Array.make 16 0L;
+    max_ends = Array.make 16 0;
     max_iters = Array.make 16 0;
     max_ctxs = Array.make 16 0;
     max_len = 0;
-    min_ends = Array.make 16 0L;
+    min_ends = Array.make 16 0;
     min_iters = Array.make 16 0;
     min_ctxs = Array.make 16 0;
     min_len = 0;
@@ -126,7 +126,7 @@ let heap_push ends iters ctxs len ~dir e it cx =
       Array.blit !a 0 b 0 n;
       a := b
     in
-    grow ends 0L;
+    grow ends 0;
     grow iters 0;
     grow ctxs 0
   end;
@@ -136,14 +136,13 @@ let heap_push ends iters ctxs len ~dir e it cx =
   ca.(n) <- cx;
   len := n + 1;
   let i = ref n in
-  let better a b = dir * Int64.compare a b > 0 in
+  let better (a : int) b = if dir > 0 then a > b else a < b in
   while !i > 0 && better ea.(!i) ea.((!i - 1) / 2) do
     let p = (!i - 1) / 2 in
-    let swap (a : int64 array) = let t = a.(!i) in a.(!i) <- a.(p); a.(p) <- t in
-    let swapi (a : int array) = let t = a.(!i) in a.(!i) <- a.(p); a.(p) <- t in
+    let swap (a : int array) = let t = a.(!i) in a.(!i) <- a.(p); a.(p) <- t in
     swap ea;
-    swapi ia;
-    swapi ca;
+    swap ia;
+    swap ca;
     i := p
   done
 
@@ -154,7 +153,7 @@ let heap_pop_root ends iters ctxs ~len ~dir =
   ends.(0) <- ends.(n);
   iters.(0) <- iters.(n);
   ctxs.(0) <- ctxs.(n);
-  let better a b = dir * Int64.compare a b > 0 in
+  let better (a : int) b = if dir > 0 then a > b else a < b in
   let i = ref 0 in
   let continue = ref true in
   while !continue do
@@ -165,11 +164,10 @@ let heap_pop_root ends iters ctxs ~len ~dir =
     if !best = !i then continue := false
     else begin
       let b = !best in
-      let swap (a : int64 array) = let t = a.(!i) in a.(!i) <- a.(b); a.(b) <- t in
-      let swapi (a : int array) = let t = a.(!i) in a.(!i) <- a.(b); a.(b) <- t in
+      let swap (a : int array) = let t = a.(!i) in a.(!i) <- a.(b); a.(b) <- t in
       swap ends;
-      swapi iters;
-      swapi ctxs;
+      swap iters;
+      swap ctxs;
       i := b
     end
   done
@@ -208,7 +206,7 @@ let size t =
 
 let heap_entry_live t e it cx =
   match Hashtbl.find_opt t.by_iter it with
-  | Some (live_end, live_ctx) -> Int64.equal live_end e && live_ctx = cx
+  | Some (live_end, live_ctx) -> live_end = e && live_ctx = cx
   | None -> false
 
 let heap_compact t h =
@@ -258,7 +256,7 @@ let add t ~iter ~ctx ~end_ =
   if not t.single_region then insert ()
   else
     match Hashtbl.find_opt t.by_iter iter with
-    | Some (old_end, _) when Int64.compare old_end end_ >= 0 ->
+    | Some (old_end, _) when old_end >= end_ ->
         t.cb.on_skip ~iter ~ctx
     | Some (old_end, old_ctx) ->
         (match t.impl with
@@ -279,7 +277,7 @@ let trim t ~start =
   | List li ->
       while
         Vec.length li.l_ends > 0
-        && Int64.compare (Vec.last li.l_ends) start < 0
+        && Vec.last li.l_ends < start
       do
         let pos = Vec.length li.l_ends - 1 in
         let iter = Vec.get li.l_iters pos and ctx = Vec.get li.l_ctxs pos in
@@ -291,7 +289,7 @@ let trim t ~start =
       let continue = ref true in
       while !continue && h.min_len > 0 do
         let e = h.min_ends.(0) and it = h.min_iters.(0) and cx = h.min_ctxs.(0) in
-        if Int64.compare e start >= 0 then continue := false
+        if e >= start then continue := false
         else begin
           if heap_entry_live t e it cx then begin
             Hashtbl.remove t.by_iter it;
@@ -309,7 +307,7 @@ let iter_end_ge t threshold f =
       let k = ref 0 in
       while
         !k < Vec.length li.l_ends
-        && Int64.compare (Vec.get li.l_ends !k) threshold >= 0
+        && Vec.get li.l_ends !k >= threshold
       do
         f ~iter:(Vec.get li.l_iters !k) ~ctx:(Vec.get li.l_ctxs !k);
         incr k
@@ -318,7 +316,7 @@ let iter_end_ge t threshold f =
       (* Pruned DFS over the max-heap: a node's end bounds its whole
          subtree, stale or not. *)
       let rec visit i =
-        if i < h.max_len && Int64.compare h.max_ends.(i) threshold >= 0 then begin
+        if i < h.max_len && h.max_ends.(i) >= threshold then begin
           if heap_entry_live t h.max_ends.(i) h.max_iters.(i) h.max_ctxs.(i)
           then f ~iter:h.max_iters.(i) ~ctx:h.max_ctxs.(i);
           visit ((2 * i) + 1);
@@ -339,5 +337,5 @@ let covered t ~iter ~end_ =
   t.single_region
   &&
   match Hashtbl.find_opt t.by_iter iter with
-  | Some (old_end, _) -> Int64.compare old_end end_ >= 0
+  | Some (old_end, _) -> old_end >= end_
   | None -> false

@@ -57,16 +57,16 @@ val size : t -> int
 (** [add t ~iter ~ctx ~end_] activates a context region.  In
     single-region mode a region covered by its iteration's live region
     is skipped, and a region reaching further replaces it. *)
-val add : t -> iter:int -> ctx:int -> end_:int64 -> unit
+val add : t -> iter:int -> ctx:int -> end_:int -> unit
 
 (** [trim t ~start] retires every region with [end < start]. *)
-val trim : t -> start:int64 -> unit
+val trim : t -> start:int -> unit
 
 (** [iter_end_ge t threshold f] applies [f ~iter ~ctx] to every live
     region with [end >= threshold].  Visit order is unspecified (the
     joins sort matches afterwards); [Sorted_list] happens to visit in
     descending end order, which the Figure 4 trace relies on. *)
-val iter_end_ge : t -> int64 -> (iter:int -> ctx:int -> unit) -> unit
+val iter_end_ge : t -> int -> (iter:int -> ctx:int -> unit) -> unit
 
 (** [iter_all t f] applies [f] to every live region (the overlap sweep
     emits against all active regions). *)
@@ -75,4 +75,4 @@ val iter_all : t -> (iter:int -> ctx:int -> unit) -> unit
 (** [covered t ~iter ~end_] — single-region mode: does the iteration's
     live region already reach [end_]?  (Exposed for the wide sweep's
     skip decision.)  Always [false] in multi-region mode. *)
-val covered : t -> iter:int -> end_:int64 -> bool
+val covered : t -> iter:int -> end_:int -> bool

@@ -46,18 +46,22 @@ let find_entry cat key config doc =
              Config.equal e.config config && e.annots.Annots.doc == doc)
            !entries)
 
-let annots ?pool cat config doc =
+let annots ?trace cat config doc =
   let key = doc.Standoff_store.Doc.doc_name in
   let hit = locked cat (fun () -> find_entry cat key config doc) in
   match hit with
   | Some a -> a
   | None ->
-      (* Extraction runs outside the lock: it may itself use the pool,
-         and holding a lock across pool tasks could deadlock.  Two
-         domains racing on the same (doc, config) at worst both
-         extract; the second insert wins the check below and the loser
-         result is dropped. *)
-      let a = Annots.extract ?pool config doc in
+      (* Extraction runs outside the lock, so a cold build on one
+         document never stalls lookups on the others.  Two domains
+         racing on the same (doc, config) at worst both extract; the
+         second insert wins the check below and the loser result is
+         dropped. *)
+      let a =
+        Annots.traced_build trace ~mode:"cold"
+          ~rows:(fun a -> Region_index.row_count a.Annots.index)
+          (fun () -> Annots.extract config doc)
+      in
       locked cat (fun () ->
           match find_entry cat key config doc with
           | Some other ->

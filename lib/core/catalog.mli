@@ -11,12 +11,14 @@ type t
 (** [create ()] is an empty catalogue. *)
 val create : unit -> t
 
-(** [annots ?pool cat config doc] is the cached annotation table of
+(** [annots ?trace cat config doc] is the cached annotation table of
     [doc] under [config], extracting it on first request.  Lookups and
     inserts are mutex-protected (extraction itself runs outside the
-    lock), so the catalogue may be shared across pool domains. *)
+    lock), so the catalogue may be shared across pool domains.  An
+    extraction runs under an ["index-build"] span of [trace] with
+    attributes [mode = "cold"] and [rows] (region-index rows built). *)
 val annots :
-  ?pool:Standoff_util.Pool.t -> t -> Config.t -> Standoff_store.Doc.t -> Annots.t
+  ?trace:Standoff_obs.Trace.t -> t -> Config.t -> Standoff_store.Doc.t -> Annots.t
 
 (** [invalidate cat doc] drops cached entries for [doc] (all
     configurations) and bumps both [doc]'s generation counter and the

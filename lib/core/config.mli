@@ -26,8 +26,9 @@ type t = {
   region_name : string option;  (** [Some n] selects {!Region_elements} *)
   position_type : string;       (** default ["xs:integer"]; informational —
                                     this implementation requires positions
-                                    representable as 64-bit integers, as
-                                    the paper's does *)
+                                    representable as 63-bit integers (the
+                                    region index keeps native [int]
+                                    columns) *)
 }
 
 (** [default] is attribute representation with names

@@ -2,7 +2,6 @@ module Vec = Standoff_util.Vec
 module Timing = Standoff_util.Timing
 module Search = Standoff_util.Search
 module Pool = Standoff_util.Pool
-module Area = Standoff_interval.Area
 
 (* ------------------------------------------------------------------ *)
 (* Post-processing: match rows -> unique (iter, node-id) in document
@@ -42,11 +41,6 @@ let sort_dedup_pairs pairs =
     (Vec.to_array iters, Vec.to_array pres)
   end
 
-let region_count annots pre =
-  match Annots.area_of annots pre with
-  | Some area -> Area.region_count area
-  | None -> 0
-
 (* Containment between areas requires every candidate region inside
    the same context annotation: count the distinct matched regions per
    (iter, context, candidate) group and keep full covers (§3.1). *)
@@ -79,7 +73,7 @@ let finalize_narrow_multi annots (matches : Merge_join_ll.match_row Vec.t) =
       end;
       incr j
     done;
-    if !covered = region_count annots cand then Vec.push pairs (pack iter cand);
+    if !covered = Annots.region_count annots cand then Vec.push pairs (pack iter cand);
     i := !j
   done;
   sort_dedup_pairs pairs
@@ -259,7 +253,7 @@ let run_lifted op strategy annots ?pool ?(active_set = Active_set.Sorted_list)
     ~candidates () =
   match strategy with
   | Config.Loop_lifted -> (
-      let cand_index = Annots.candidate_index ?pool annots ~candidates in
+      let cand_index = Annots.candidate_index annots ~candidates in
       let n_loop = Array.length loop in
       let chunks =
         match pool with

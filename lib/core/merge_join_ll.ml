@@ -1,7 +1,5 @@
 module Vec = Standoff_util.Vec
 module Timing = Standoff_util.Timing
-module Area = Standoff_interval.Area
-module Region = Standoff_interval.Region
 module Metrics = Standoff_obs.Metrics
 
 (* Per-sweep totals, bumped once per sweep (never per row). *)
@@ -22,26 +20,19 @@ let m_sweep_matches =
 type context = {
   iters : int array;
   ids : int array;
-  starts : int64 array;
-  ends : int64 array;
+  starts : int array;
+  ends : int array;
 }
 
 let context_of_annotations annots ~iters ~pres =
   let rows = Vec.create () in
   Array.iteri
     (fun i pre ->
-      match Annots.area_of annots pre with
-      | None -> ()
-      | Some area ->
-          List.iter
-            (fun r ->
-              Vec.push rows
-                (Region.start_pos r, Region.end_pos r, iters.(i), pre))
-            (Area.regions area))
+      Annots.iter_regions annots pre (fun ~start ~end_ ->
+          Vec.push rows (start, end_, iters.(i), pre)))
     pres;
-  let in_order (s1, e1, _, _) (s2, e2, _, _) =
-    let c = Int64.compare s1 s2 in
-    if c <> 0 then c < 0 else Int64.compare e2 e1 <= 0
+  let in_order ((s1 : int), e1, _, _) (s2, e2, _, _) =
+    if s1 <> s2 then s1 < s2 else e2 <= e1
   in
   (* Context nodes arrive in document order; when annotation regions
      nest like the tree (the common case) that already is the sweep
@@ -53,15 +44,14 @@ let context_of_annotations annots ~iters ~pres =
   done;
   if not !sorted then
     Vec.sort
-      (fun (s1, e1, _, _) (s2, e2, _, _) ->
-        let c = Int64.compare s1 s2 in
-        if c <> 0 then c else Int64.compare e2 e1)
+      (fun ((s1 : int), e1, _, _) (s2, e2, _, _) ->
+        if s1 <> s2 then compare s1 s2 else compare e2 e1)
       rows;
   let n = Vec.length rows in
   let iters = Array.make n 0
   and ids = Array.make n 0
-  and starts = Array.make n 0L
-  and ends = Array.make n 0L in
+  and starts = Array.make n 0
+  and ends = Array.make n 0 in
   Vec.iteri
     (fun i (s, e, iter, id) ->
       starts.(i) <- s;
@@ -119,7 +109,7 @@ let select_narrow ?(active_set = Active_set.Sorted_list) ?(trace = no_trace)
     let cand_start = cands.Region_index.starts.(!j) in
     (* Activate every context region starting at or before the
        candidate. *)
-    while !i < nctx && Int64.compare ctx.starts.(!i) cand_start <= 0 do
+    while !i < nctx && ctx.starts.(!i) <= cand_start do
       Active_set.add act ~iter:ctx.iters.(!i) ~ctx:ctx.ids.(!i)
         ~end_:ctx.ends.(!i);
       incr i
@@ -134,7 +124,7 @@ let select_narrow ?(active_set = Active_set.Sorted_list) ?(trace = no_trace)
         let lo = ref !j and hi = ref ncand in
         while !lo < !hi do
           let mid = (!lo + !hi) / 2 in
-          if Int64.compare cands.Region_index.starts.(mid) next_start < 0 then
+          if cands.Region_index.starts.(mid) < next_start then
             lo := mid + 1
           else hi := mid
         done;
@@ -178,7 +168,7 @@ let select_wide ?(active_set = Active_set.Sorted_list) ?(trace = no_trace)
     let lo = ref 0 and hi = ref (Vec.length pend_ends) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Int64.compare (Vec.get pend_ends mid) e >= 0 then lo := mid + 1
+      if Vec.get pend_ends mid >= e then lo := mid + 1
       else hi := mid
     done;
     Vec.insert pend_ends !lo e;
@@ -203,7 +193,7 @@ let select_wide ?(active_set = Active_set.Sorted_list) ?(trace = no_trace)
     let context_turn =
       !i < nctx
       && (!j >= ncand
-         || Int64.compare ctx.starts.(!i) cands.Region_index.starts.(!j) <= 0)
+         || ctx.starts.(!i) <= cands.Region_index.starts.(!j))
     in
     if context_turn then begin
       let c_start = ctx.starts.(!i)
@@ -221,7 +211,7 @@ let select_wide ?(active_set = Active_set.Sorted_list) ?(trace = no_trace)
         let k = ref 0 in
         while
           !k < Vec.length pend_ends
-          && Int64.compare (Vec.get pend_ends !k) c_start >= 0
+          && Vec.get pend_ends !k >= c_start
         do
           emit ~iter:c_iter ~ctx_id:c_id ~row:(Vec.get pend_rows !k);
           incr k

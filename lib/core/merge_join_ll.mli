@@ -40,8 +40,8 @@
 type context = private {
   iters : int array;
   ids : int array;
-  starts : int64 array;
-  ends : int64 array;
+  starts : int array;
+  ends : int array;
 }
 (** One row per context {e region} (areas contribute several rows),
     sorted on [(start asc, end desc)]. *)

@@ -1,5 +1,3 @@
-module Vec = Standoff_util.Vec
-module Pool = Standoff_util.Pool
 module Region = Standoff_interval.Region
 module Area = Standoff_interval.Area
 module Metrics = Standoff_obs.Metrics
@@ -17,136 +15,219 @@ let m_restricts_total =
     ~help:"Candidate restrictions applied to a region index"
 
 type t = {
-  starts : int64 array;
-  ends : int64 array;
+  starts : int array;
+  ends : int array;
   ids : int array;
   region_ranks : int array;
 }
 
-type row = {
-  row_start : int64;
-  row_end : int64;
-  row_id : int;
-  row_rank : int;
-}
+let empty = { starts = [||]; ends = [||]; ids = [||]; region_ranks = [||] }
 
-(* Total order: [row_rank] breaks the remaining tie, so sorting any
-   permutation of the same rows yields the same array — which is what
-   lets the chunked parallel sort + merge below match the sequential
-   sort byte for byte. *)
-let compare_row a b =
-  let c = Int64.compare a.row_start b.row_start in
-  if c <> 0 then c
+(* ------------------------------------------------------------------ *)
+(* Run-adaptive sort of a row permutation                             *)
+
+(* Total order: does row [a] precede row [c]?  [(start asc, end desc,
+   id asc, rank asc)] — [rank] breaks the last tie, so any permutation
+   of the same rows sorts to the same array. *)
+let before rows a c =
+  let sa = Array.unsafe_get rows.starts a and sc = Array.unsafe_get rows.starts c in
+  if sa <> sc then sa < sc
   else
-    let c = Int64.compare b.row_end a.row_end in
-    if c <> 0 then c
+    let ea = Array.unsafe_get rows.ends a and ec = Array.unsafe_get rows.ends c in
+    if ea <> ec then ea > ec
     else
-      let c = compare a.row_id b.row_id in
-      if c <> 0 then c else compare a.row_rank b.row_rank
+      let ia = Array.unsafe_get rows.ids a and ic = Array.unsafe_get rows.ids c in
+      if ia <> ic then ia < ic
+      else Array.unsafe_get rows.region_ranks a < Array.unsafe_get rows.region_ranks c
 
-let of_sorted_rows rows n =
-  let starts = Array.make n 0L
-  and ends = Array.make n 0L
-  and ids = Array.make n 0
-  and region_ranks = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let r = rows.(i) in
-    starts.(i) <- r.row_start;
-    ends.(i) <- r.row_end;
-    ids.(i) <- r.row_id;
-    region_ranks.(i) <- r.row_rank
-  done;
-  { starts; ends; ids; region_ranks }
+(* Runs shorter than this are extended by insertion sort, so random
+   input does not degrade into thousands of two-row merges. *)
+let min_run = 32
 
-(* Merge sorted [rows.(lo, mid)] and [rows.(mid, hi)] through [tmp].
-   Stable, though stability is moot under a total order. *)
-let merge_runs rows tmp lo mid hi =
-  Array.blit rows lo tmp lo (hi - lo);
-  let i = ref lo and j = ref mid in
-  for k = lo to hi - 1 do
-    if !i >= mid then begin
-      rows.(k) <- tmp.(!j);
-      incr j
-    end
-    else if !j >= hi then begin
-      rows.(k) <- tmp.(!i);
-      incr i
-    end
-    else if compare_row tmp.(!j) tmp.(!i) < 0 then begin
-      rows.(k) <- tmp.(!j);
-      incr j
-    end
-    else begin
-      rows.(k) <- tmp.(!i);
-      incr i
-    end
+let reverse (perm : int array) lo hi =
+  let i = ref lo and j = ref (hi - 1) in
+  while !i < !j do
+    let x = perm.(!i) in
+    perm.(!i) <- perm.(!j);
+    perm.(!j) <- x;
+    incr i;
+    decr j
   done
 
-(* Below this many rows a parallel sort costs more than it saves. *)
-let parallel_sort_threshold = 4096
+(* Insert [perm.(k)] into the sorted prefix [perm.(lo) .. perm.(k-1)]. *)
+let insert rows perm lo k =
+  let x = perm.(k) in
+  let j = ref k in
+  while !j > lo && before rows x perm.(!j - 1) do
+    perm.(!j) <- perm.(!j - 1);
+    decr j
+  done;
+  perm.(!j) <- x
 
-let build ?pool annots =
-  let rows_vec = Vec.create () in
-  List.iter
-    (fun (id, area) ->
-      List.iteri
-        (fun rank r ->
-          Vec.push rows_vec
-            {
-              row_start = Region.start_pos r;
-              row_end = Region.end_pos r;
-              row_id = id;
-              row_rank = rank;
-            })
-        (Area.regions area))
-    annots;
-  let n = Vec.length rows_vec in
+(* Cut [perm] into sorted runs: each maximal ascending stretch, or a
+   strictly descending one reversed in place, extended to [min_run].
+   Returns the run boundaries [0 = r0 < r1 < ... < rk = n]. *)
+let find_runs rows perm n =
+  let bounds = ref [ 0 ] in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = ref (!lo + 1) in
+    if !hi < n then
+      if before rows perm.(!hi) perm.(!lo) then begin
+        while !hi + 1 < n && before rows perm.(!hi + 1) perm.(!hi) do incr hi done;
+        incr hi;
+        reverse perm !lo !hi
+      end
+      else begin
+        while !hi + 1 < n && not (before rows perm.(!hi + 1) perm.(!hi)) do
+          incr hi
+        done;
+        incr hi
+      end;
+    let stop = min n (!lo + min_run) in
+    while !hi < stop do
+      insert rows perm !lo !hi;
+      incr hi
+    done;
+    bounds := !hi :: !bounds;
+    lo := !hi
+  done;
+  Array.of_list (List.rev !bounds)
+
+(* [Array.blit] and [Array.init] store through the write barrier, one
+   call per element, into arrays outside the minor heap; int arrays
+   need none, so the sort copies with plain typed loops. *)
+let copy_ints (src : int array) src_pos (dst : int array) dst_pos len =
+  for k = 0 to len - 1 do
+    Array.unsafe_set dst (dst_pos + k) (Array.unsafe_get src (src_pos + k))
+  done
+
+(* [gallop p lo hi]: [p] holds on a prefix of [lo, hi); the end of
+   that prefix, found by doubling steps and then bisecting, in
+   O(log (prefix length)) probes. *)
+let gallop p lo hi =
+  let ok = ref lo and step = ref 1 and probe = ref lo in
+  while !probe < hi && p !probe do
+    ok := !probe + 1;
+    step := 2 * !step;
+    probe := !ok + !step - 1
+  done;
+  let l = ref !ok and r = ref (min !probe hi) in
+  while !l < !r do
+    let m = (!l + !r) / 2 in
+    if p m then l := m + 1 else r := m
+  done;
+  !l
+
+(* Merge the sorted runs [perm.(lo, mid)] and [perm.(mid, hi)] in
+   place, through [tmp].  The left run's prefix that precedes the
+   right run's head stays put; after that, stretches that come from
+   one side are found by galloping and moved by one copy each, so
+   runs that interleave in long blocks cost a few comparisons per
+   block rather than one per row. *)
+let merge rows perm tmp lo mid hi =
+  let head = perm.(mid) in
+  if before rows head perm.(mid - 1) then begin
+    let lo = gallop (fun i -> not (before rows head perm.(i))) lo mid in
+    let nl = mid - lo in
+    copy_ints perm lo tmp 0 nl;
+    let i = ref 0 and j = ref mid and k = ref lo in
+    while !i < nl do
+      (* Right rows preceding the next left row. *)
+      let x = tmp.(!i) in
+      let j' = gallop (fun j -> before rows perm.(j) x) !j hi in
+      (* [k <= j]: a forward copy is safe. *)
+      copy_ints perm !j perm !k (j' - !j);
+      k := !k + (j' - !j);
+      j := j';
+      (* Left rows not after the next right row (all of them once the
+         right run is spent). *)
+      let i' =
+        if !j >= hi then nl
+        else
+          let y = perm.(!j) in
+          gallop (fun i -> not (before rows y tmp.(i))) !i nl
+      in
+      copy_ints tmp !i perm !k (i' - !i);
+      k := !k + (i' - !i);
+      i := i'
+    done
+  end
+
+let sort_permutation rows =
+  let n = Array.length rows.starts in
+  let perm = Array.make n 0 in
+  for k = 1 to n - 1 do
+    Array.unsafe_set perm k k
+  done;
+  let bounds = ref (find_runs rows perm n) in
+  if Array.length !bounds > 2 then begin
+    let tmp = Array.make n 0 in
+    while Array.length !bounds > 2 do
+      let bs = !bounds in
+      let runs = Array.length bs - 1 in
+      let next = Array.make (((runs + 1) / 2) + 1) n in
+      let k = ref 0 in
+      while 2 * !k < runs do
+        let lo = bs.(2 * !k) in
+        if (2 * !k) + 2 <= runs then
+          merge rows perm tmp lo bs.((2 * !k) + 1) bs.((2 * !k) + 2);
+        next.(!k) <- lo;
+        incr k
+      done;
+      bounds := next
+    done
+  end;
+  perm
+
+let of_rows ~starts ~ends ~ids ~ranks =
+  let n = Array.length starts in
+  if Array.length ends <> n || Array.length ids <> n || Array.length ranks <> n
+  then invalid_arg "Region_index.of_rows: columns differ in length";
   Metrics.incr m_builds_total;
   Metrics.add m_rows_built_total n;
-  if n = 0 then
-    { starts = [||]; ends = [||]; ids = [||]; region_ranks = [||] }
-  else begin
-    let rows = Array.make n (Vec.get rows_vec 0) in
-    Vec.iteri (fun i r -> rows.(i) <- r) rows_vec;
-    (match pool with
-    | Some p when Pool.jobs p > 1 && n >= parallel_sort_threshold ->
-        (* Chunked parallel sort, then a log-depth pairwise merge.  The
-           total order on rows makes the result identical to a single
-           sequential sort. *)
-        let min_chunk = parallel_sort_threshold / 4 in
-        let chunks = Pool.chunk_count p ~min_chunk ~n () in
-        if chunks = 1 then Array.sort compare_row rows
-        else begin
-          let boundaries =
-            Pool.parallel_chunks p ~min_chunk ~n (fun ~chunk:_ ~lo ~hi ->
-                let sub = Array.sub rows lo (hi - lo) in
-                Array.sort compare_row sub;
-                Array.blit sub 0 rows lo (hi - lo);
-                (lo, hi))
-          in
-          let tmp = Array.make n rows.(0) in
-          let rec merge_level runs =
-            match runs with
-            | [] | [ _ ] -> ()
-            | _ ->
-                let next = ref [] in
-                let rec pair = function
-                  | (lo1, hi1) :: (lo2, hi2) :: rest ->
-                      assert (hi1 = lo2);
-                      merge_runs rows tmp lo1 lo2 hi2;
-                      next := (lo1, hi2) :: !next;
-                      pair rest
-                  | [ last ] -> next := last :: !next
-                  | [] -> ()
-                in
-                pair runs;
-                merge_level (List.rev !next)
-          in
-          merge_level (Array.to_list boundaries)
-        end
-    | _ -> Array.sort compare_row rows);
-    of_sorted_rows rows n
-  end
+  let rows = { starts; ends; ids; region_ranks = ranks } in
+  let perm = sort_permutation rows in
+  let idx =
+    {
+      starts = Array.make n 0;
+      ends = Array.make n 0;
+      ids = Array.make n 0;
+      region_ranks = Array.make n 0;
+    }
+  in
+  for k = 0 to n - 1 do
+    let row = Array.unsafe_get perm k in
+    Array.unsafe_set idx.starts k (Array.unsafe_get starts row);
+    Array.unsafe_set idx.ends k (Array.unsafe_get ends row);
+    Array.unsafe_set idx.ids k (Array.unsafe_get ids row);
+    Array.unsafe_set idx.region_ranks k (Array.unsafe_get ranks row)
+  done;
+  idx
+
+let pos_of_int64 p =
+  let i = Int64.to_int p in
+  if Int64.of_int i <> p then
+    invalid_arg
+      (Printf.sprintf "Region_index: position %Ld does not fit in 63 bits" p);
+  i
+
+let build annots =
+  let rows =
+    Array.of_list
+      (List.concat_map
+         (fun (id, area) -> List.mapi (fun rank r -> (id, rank, r)) (Area.regions area))
+         annots)
+  in
+  let col f = Array.map f rows in
+  of_rows
+    ~starts:(col (fun (_, _, r) -> pos_of_int64 (Region.start_pos r)))
+    ~ends:(col (fun (_, _, r) -> pos_of_int64 (Region.end_pos r)))
+    ~ids:(col (fun (id, _, _) -> id))
+    ~ranks:(col (fun (_, rank, _) -> rank))
+
+(* ------------------------------------------------------------------ *)
+(* Queries                                                             *)
 
 let row_count idx = Array.length idx.starts
 
@@ -184,12 +265,11 @@ let annotation_ids idx =
     out
   end
 
-let restrict ?pool idx ~ids =
+let restrict idx ~ids =
   Metrics.incr m_restricts_total;
   let n_rows = Array.length idx.ids in
   let n_ids = Array.length ids in
-  if n_rows = 0 || n_ids = 0 then
-    { starts = [||]; ends = [||]; ids = [||]; region_ranks = [||] }
+  if n_rows = 0 || n_ids = 0 then empty
   else begin
     (* [idx.ids] is clustered on start position, not on id, so a
        two-pointer merge with the sorted [ids] is impossible; instead
@@ -199,77 +279,36 @@ let restrict ?pool idx ~ids =
     let member = Bytes.make (max_cand + 1) '\000' in
     Array.iter (fun id -> Bytes.unsafe_set member id '\001') ids;
     let mem id = id <= max_cand && Bytes.unsafe_get member id = '\001' in
-    let count_range lo hi =
-      let c = ref 0 in
-      for row = lo to hi - 1 do
-        if mem (Array.unsafe_get idx.ids row) then incr c
-      done;
-      !c
+    let total = ref 0 in
+    Array.iter (fun id -> if mem id then incr total) idx.ids;
+    let out =
+      {
+        starts = Array.make !total 0;
+        ends = Array.make !total 0;
+        ids = Array.make !total 0;
+        region_ranks = Array.make !total 0;
+      }
     in
-    let fill_range dst ~dst_off lo hi =
-      let { starts; ends; ids = out_ids; region_ranks } = dst in
-      let k = ref dst_off in
-      for row = lo to hi - 1 do
-        if mem (Array.unsafe_get idx.ids row) then begin
-          starts.(!k) <- idx.starts.(row);
-          ends.(!k) <- idx.ends.(row);
-          out_ids.(!k) <- idx.ids.(row);
-          region_ranks.(!k) <- idx.region_ranks.(row);
-          incr k
-        end
-      done
-    in
-    match pool with
-    | Some p when Pool.jobs p > 1 && n_rows >= parallel_sort_threshold ->
-        (* Two partitioned sweeps: count survivors per chunk, then fill
-           each chunk's contiguous output slice — chunk order keeps the
-           start clustering. *)
-        let min_chunk = parallel_sort_threshold / 4 in
-        let counts =
-          Pool.parallel_chunks p ~min_chunk ~n:n_rows
-            (fun ~chunk:_ ~lo ~hi -> (lo, hi, count_range lo hi))
-        in
-        let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 counts in
-        let dst =
-          {
-            starts = Array.make total 0L;
-            ends = Array.make total 0L;
-            ids = Array.make total 0;
-            region_ranks = Array.make total 0;
-          }
-        in
-        let offsets = Array.make (Array.length counts) 0 in
-        let acc = ref 0 in
-        Array.iteri
-          (fun i (_, _, c) ->
-            offsets.(i) <- !acc;
-            acc := !acc + c)
-          counts;
-        Pool.run_all p
-          (Array.init (Array.length counts) (fun i () ->
-               let lo, hi, _ = counts.(i) in
-               fill_range dst ~dst_off:offsets.(i) lo hi));
-        dst
-    | _ ->
-        let total = count_range 0 n_rows in
-        let dst =
-          {
-            starts = Array.make total 0L;
-            ends = Array.make total 0L;
-            ids = Array.make total 0;
-            region_ranks = Array.make total 0;
-          }
-        in
-        fill_range dst ~dst_off:0 0 n_rows;
-        dst
+    let k = ref 0 in
+    for row = 0 to n_rows - 1 do
+      if mem idx.ids.(row) then begin
+        out.starts.(!k) <- idx.starts.(row);
+        out.ends.(!k) <- idx.ends.(row);
+        out.ids.(!k) <- idx.ids.(row);
+        out.region_ranks.(!k) <- idx.region_ranks.(row);
+        incr k
+      end
+    done;
+    out
   end
 
-let region idx row = Region.make idx.starts.(row) idx.ends.(row)
+let region idx row =
+  Region.make (Int64.of_int idx.starts.(row)) (Int64.of_int idx.ends.(row))
 
 let pp fmt idx =
   Format.fprintf fmt "@[<v>start|end|id|rank@,";
   for i = 0 to row_count idx - 1 do
-    Format.fprintf fmt "%Ld|%Ld|%d|%d@," idx.starts.(i) idx.ends.(i)
+    Format.fprintf fmt "%d|%d|%d|%d@," idx.starts.(i) idx.ends.(i)
       idx.ids.(i) idx.region_ranks.(i)
   done;
   Format.fprintf fmt "@]"

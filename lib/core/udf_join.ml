@@ -23,7 +23,7 @@ let join op annots ~deadline ~context ~candidates =
            of the document. *)
         let out = Vec.create () in
         Array.iteri
-          (fun i id -> Vec.push out (id, annots.Annots.areas.(i)))
+          (fun i id -> Vec.push out (id, Annots.area_at annots i))
           annots.Annots.ids;
         out
   in

@@ -46,7 +46,7 @@ let shift_annotations cat config doc ~from ~by =
   let pending = ref [] in
   Array.iteri
     (fun slot pre ->
-      let area = annots.Annots.areas.(slot) in
+      let area = Annots.area_at annots slot in
       let extent = Standoff_interval.Area.extent area in
       if Int64.compare (Region.start_pos extent) from >= 0 then begin
         let start_ = Int64.add (Region.start_pos extent) by in

@@ -91,6 +91,11 @@ let finish t =
   close_span t.tr_root;
   t.tr_root
 
+(* Run [f] under a fresh child span, closed however [f] returns. *)
+let with_span t ?node name f =
+  let sp = enter t ?node name in
+  Fun.protect ~finally:(fun () -> exit t sp) (fun () -> f sp)
+
 (* ------------------------------------------------------------------ *)
 (* Attributes                                                          *)
 
@@ -144,7 +149,9 @@ let rec depth sp =
   1 + List.fold_left (fun acc c -> max acc (depth c)) 0 (children sp)
 
 (* A one-line digest for the slow-query log: total spans, tree depth,
-   and the slowest operator span. *)
+   the slowest operator span, and the time spent in index builds (they
+   nest inside [optimize] or a join, so the slowest span alone would
+   hide them). *)
 let summary t =
   let root = t.tr_root in
   let slowest = ref None in
@@ -160,7 +167,15 @@ let summary t =
     | Some (n, d) -> Printf.sprintf " slowest=%s:%.3fms" n (d *. 1e3)
     | None -> ""
   in
-  Printf.sprintf "spans=%d depth=%d%s" t.tr_spans (depth root) slow_part
+  let build_part =
+    match find_all (fun sp -> sp.sp_name = "index-build" && is_closed sp) root with
+    | [] -> ""
+    | builds ->
+        Printf.sprintf " index-build=%.3fms"
+          (List.fold_left (fun acc sp -> acc +. duration sp) 0.0 builds *. 1e3)
+  in
+  Printf.sprintf "spans=%d depth=%d%s%s" t.tr_spans (depth root) slow_part
+    build_part
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)

@@ -84,6 +84,12 @@ type prepared = {
   p_fingerprint : string;
       (** digest of the rendered physical plan + config + strategy;
           the result cache keys on it *)
+  p_unbilled_s : float Stdlib.Atomic.t;
+      (** seconds this value's own [prepare] spent parsing, lowering and
+          optimizing (cold index builds included) that no run has
+          accounted yet: the first [run_prepared] takes them.  A value
+          served from the plan cache carries 0, so a hit never bills
+          the cached plan's old cost. *)
 }
 
 let prepared_plan p = p.p_plan
@@ -371,9 +377,7 @@ let process_prolog (q : Ast.query) =
 let phase_span trace name f =
   match trace with
   | None -> f ()
-  | Some tr ->
-      let sp = Trace.enter tr name in
-      Fun.protect ~finally:(fun () -> Trace.exit tr sp) f
+  | Some tr -> Trace.with_span tr name (fun _ -> f ())
 
 let strategy_label = function
   | Some s -> Config.strategy_to_string s
@@ -447,7 +451,7 @@ let prepare_uncached t ?strategy ~optimize ~dataguide ?trace query_text =
   (* Statistics steer the optimizer's pushdown rule and the adaptive
      jobs estimate; both are heuristics, so stale numbers can only
      mis-steer performance, never results. *)
-  let stats = Optimize.collection_stats ~dataguide t.coll t.cat config in
+  let stats = Optimize.collection_stats ~dataguide ?trace t.coll t.cat config in
   let rewrite =
     if optimize then fun plan ->
       Optimize.optimize ?pin_strategy:resolved ~stats ~dataguide plan
@@ -486,16 +490,23 @@ let prepare_uncached t ?strategy ~optimize ~dataguide ?trace query_text =
           p_strategy = resolved;
           p_cost = cost;
           p_fingerprint = "";
+          p_unbilled_s = Stdlib.Atomic.make 0.0;
         }
       in
       { p with p_fingerprint = fingerprint_of p })
 
 let prepare t ?strategy ?(optimize = true) ?dataguide ?trace query_text =
+  let t0 = Timing.now () in
   let dataguide =
     match dataguide with Some b -> b | None -> t.dataguide
   in
+  (* The caller's copy carries the preparation time for its first run
+     to account; a cached copy never does. *)
+  let billed p =
+    { p with p_unbilled_s = Stdlib.Atomic.make (Timing.now () -. t0) }
+  in
   if t.cache = Cache_off then
-    prepare_uncached t ?strategy ~optimize ~dataguide ?trace query_text
+    billed (prepare_uncached t ?strategy ~optimize ~dataguide ?trace query_text)
   else begin
     (* The key is everything outside the text that steers lowering: the
        effective strategy (the [?strategy] argument, else the engine
@@ -524,12 +535,19 @@ let prepare t ?strategy ?(optimize = true) ?dataguide ?trace query_text =
           prepare_uncached t ?strategy ~optimize ~dataguide ?trace query_text
         in
         Lru.add t.plan_cache key p;
-        p
+        billed p
   end
+
+(* The preparation seconds a run accounts on top of its own: taken
+   once, so a prepared query run many times bills its planning once. *)
+let take_unbilled prepared =
+  if Stdlib.Atomic.get prepared.p_unbilled_s = 0.0 then 0.0
+  else Stdlib.Atomic.exchange prepared.p_unbilled_s 0.0
 
 (* Record a finished run in the engine metrics and, past the
    threshold, the slow-query log.  Runs on success and on error alike
-   (the finally of [run_prepared]). *)
+   (the finally of [run_prepared]); [seconds] includes the request's
+   own preparation ({!take_unbilled}). *)
 let account t prepared trace ~jobs ~seconds ~failed =
   Metrics.incr m_queries_total;
   if failed then Metrics.incr m_query_errors_total;
@@ -603,6 +621,7 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
      override and the engine in adaptive mode ([jobs t = 0]) the run is
      sized from the plan's cost estimate. *)
   let jobs = match jobs with Some n -> max 1 n | None -> effective_jobs t prepared in
+  let prepare_s = take_unbilled prepared in
   let trace =
     match trace with
     | Some _ -> trace
@@ -628,7 +647,8 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
       let t0 = Timing.now () in
       set_root_attrs trace prepared ~jobs ~cache:"hit";
       Option.iter (fun tr -> ignore (Trace.finish tr)) trace;
-      account t prepared trace ~jobs ~seconds:(Timing.now () -. t0)
+      account t prepared trace ~jobs
+        ~seconds:(prepare_s +. Timing.now () -. t0)
         ~failed:false;
       (* A streaming caller gets the cached bytes through its sink, in
          slices, and an empty [serialized] — same contract as a
@@ -660,7 +680,8 @@ let run_prepared t ?(deadline = Timing.no_deadline) ?context_doc
              killed by [Deadline_exceeded] (or any evaluation error)
              well-formed. *)
           Option.iter (fun tr -> ignore (Trace.finish tr)) trace;
-          account t prepared trace ~jobs ~seconds:(Timing.now () -. t0)
+          account t prepared trace ~jobs
+            ~seconds:(prepare_s +. Timing.now () -. t0)
             ~failed:!failed;
           (* Constructed-node scratch documents are dropped when the caller
              does not need the node handles (benchmark loops), and always

@@ -256,7 +256,11 @@ val prepare :
     killed by {!Standoff_util.Timing.Deadline_exceeded} still leaves
     the collector holding a well-formed partial trace.  Every run
     updates the engine metrics and, past the [slow_ms] threshold, the
-    slow-query log.
+    slow-query log.  The seconds recorded there ([standoff_query_seconds]
+    and the slow-log entry) include the time {!prepare} spent producing
+    [prepared] — parse, optimize and any cold index build — on the
+    first run of that value only, and nothing when {!prepare} served
+    it from the plan cache.
 
     Under [Cache_result], a repeat run of the same prepared query on
     the same document set returns the byte-identical cached result

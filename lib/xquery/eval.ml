@@ -226,7 +226,7 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
         let context_iters = Vec.to_array iters_v in
         let context_pres = Vec.to_array pres_v in
         let doc = Collection.doc env.coll doc_id in
-        let annots = Catalog.annots ?pool:env.pool env.catalog env.config doc in
+        let annots = Catalog.annots ?trace:env.trace env.catalog env.config doc in
         let candidates =
           if pushdown then
             Option.map (Doc.elements_named doc) (Node_test.name_filter test)
@@ -243,6 +243,12 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
                     ~context_rows:(Array.length context_pres)
                     ~candidate_rows:(Option.map Array.length candidates))
         in
+        (* A loop-lifted join's restricted candidate index is built
+           here, on the tracing domain, so a cold build shows as an
+           [index-build] span; the shard's own lookup then hits. *)
+        if strategy = Config.Loop_lifted then
+          ignore
+            (Standoff.Annots.candidate_index ?trace:env.trace annots ~candidates);
         let stats =
           match span with Some _ -> Some (Join.fresh_stats ()) | None -> None
         in
@@ -838,7 +844,7 @@ and area_of_item env item =
   match item with
   | Item.Node n ->
       let doc = Collection.doc env.coll n.Collection.doc_id in
-      let annots = Catalog.annots ?pool:env.pool env.catalog env.config doc in
+      let annots = Catalog.annots ?trace:env.trace env.catalog env.config doc in
       Option.map
         (fun area -> (n, area))
         (Standoff.Annots.area_of annots n.Collection.pre)
@@ -1423,7 +1429,7 @@ and standoff_function env ?span ~strategy_choice op test ctx cand_table =
               | Item.Node n ->
                   let doc = Collection.doc env.coll n.Collection.doc_id in
                   let annots =
-                    Catalog.annots ?pool:env.pool env.catalog env.config doc
+                    Catalog.annots ?trace:env.trace env.catalog env.config doc
                   in
                   if
                     Standoff.Annots.is_annotation annots n.Collection.pre

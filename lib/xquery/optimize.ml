@@ -47,7 +47,7 @@ let no_stats =
     st_path = (fun _ -> 0);
   }
 
-let collection_stats ?(dataguide = false) coll catalog config =
+let collection_stats ?(dataguide = false) ?trace coll catalog config =
   let annots =
     lazy
       (Collection.fold_docs
@@ -55,7 +55,7 @@ let collection_stats ?(dataguide = false) coll catalog config =
            (* Documents whose region markup is invalid under this
               configuration simply contribute no statistics; touching
               them in a query still reports the error. *)
-           match Catalog.annots catalog config doc with
+           match Catalog.annots ?trace catalog config doc with
            | a -> Annots.annotation_count a + acc
            | exception Annots.Invalid_region _ -> acc)
          0 coll)

@@ -27,9 +27,12 @@ val no_stats : stats
     strong DataGuide ({!Standoff_store.Dataguide}), built lazily at
     the document's current catalogue generation.  Documents whose
     region markup is invalid under [config] contribute nothing (the
-    error still surfaces when a query touches them). *)
+    error still surfaces when a query touches them).  Annotation
+    tables built on first use run under ["index-build"] spans of
+    [trace] ({!Standoff.Catalog.annots}). *)
 val collection_stats :
   ?dataguide:bool ->
+  ?trace:Standoff_obs.Trace.t ->
   Standoff_store.Collection.t ->
   Standoff.Catalog.t ->
   Standoff.Config.t ->

@@ -64,7 +64,7 @@ let event_to_string = function
 let test_figure4_context_sorted () =
   let _, context, _ = figure4_setup () in
   Alcotest.(check int) "four region rows" 4 (MJ.context_row_count context);
-  Alcotest.(check (list int64)) "sorted on start" [ 0L; 12L; 20L; 55L ]
+  Alcotest.(check (list int)) "sorted on start" [ 0; 12; 20; 55 ]
     (Array.to_list context.MJ.starts)
 
 let test_figure4_trace () =

@@ -374,6 +374,50 @@ let test_trace_forced_by_env () =
   in
   Alcotest.(check bool) "unset again: no trace" true (r.Engine.trace = None)
 
+(* Nested annotations [<a>] with one [<b>] inside each: [2 * n] in
+   all, enough that building their index is a visible part of a cold
+   query. *)
+let nested_coll n =
+  let buf = Buffer.create (n * 64) in
+  Buffer.add_string buf "<t>";
+  for i = 0 to n - 1 do
+    Printf.bprintf buf "<a start=\"%d\" end=\"%d\"><b start=\"%d\" end=\"%d\"/></a>"
+      (i * 10) ((i * 10) + 9) ((i * 10) + 1) ((i * 10) + 5)
+  done;
+  Buffer.add_string buf "</t>";
+  let coll = Collection.create () in
+  ignore (Collection.load_string coll ~name:"nested.xml" (Buffer.contents buf));
+  coll
+
+let index_builds root =
+  List.map
+    (fun sp ->
+      ( Option.value ~default:"" (Trace.str_attr sp "mode"),
+        Option.value ~default:(-1) (Trace.int_attr sp "rows") ))
+    (Trace.find_all (fun sp -> Trace.name sp = "index-build") root)
+
+let test_trace_index_build_spans () =
+  let e = Engine.create ~cache:Engine.Cache_off (nested_coll 100) in
+  let traced q =
+    let trace = Trace.create () in
+    ignore (Engine.run e ~trace ~strategy:Config.Loop_lifted q);
+    Trace.finish trace
+  in
+  (* Cold: the annotation table is built under [optimize] (collection
+     statistics), the restricted candidate index under the join. *)
+  let root = traced "count(doc(\"nested.xml\")//a/select-narrow::b)" in
+  Alcotest.(check (list (pair string int))) "cold table, then warm restriction"
+    [ ("cold", 200); ("warm", 100) ]
+    (index_builds root);
+  let optimize =
+    List.find (fun sp -> Trace.name sp = "optimize") (Trace.children root)
+  in
+  Alcotest.(check int) "the cold build nests in optimize" 1
+    (List.length (index_builds optimize));
+  (* Warm: both are cached, so no build runs and no span is left. *)
+  let root = traced "count(doc(\"nested.xml\")//a/select-narrow::b)" in
+  Alcotest.(check (list (pair string int))) "nothing built" [] (index_builds root)
+
 (* ------------------------------------------------------------------ *)
 (* Slow-query log                                                      *)
 
@@ -440,6 +484,41 @@ let test_slow_log_sink_and_summary () =
       Alcotest.failf "expected 1 sink hit, got %d" (List.length entries));
   Slow_log.clear ()
 
+(* A cold query's recorded latency covers its own preparation: every
+   phase span (parse, optimize with the cold index build, eval,
+   serialize) lies inside it. *)
+let test_slow_log_bills_preparation () =
+  Slow_log.clear ();
+  let e = Engine.create (nested_coll 20_000) in
+  Engine.set_slow_ms e (Some 0.0);
+  let q = "count(doc(\"nested.xml\")//a/select-narrow::b)" in
+  let trace = Trace.create () in
+  ignore (Engine.run e ~trace ~rollback_constructed:true q);
+  let root = Trace.finish trace in
+  let phases =
+    List.fold_left (fun acc sp -> acc +. Trace.duration sp) 0.0
+      (Trace.children root)
+  in
+  (match Slow_log.recent () with
+  | [ entry ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "seconds %.6f >= phase spans %.6f"
+           entry.Slow_log.e_seconds phases)
+        true
+        (entry.Slow_log.e_seconds >= phases);
+      Alcotest.(check bool) "summary reports the index build" true
+        (let summary = entry.Slow_log.e_summary in
+         let key = "index-build=" in
+         let n = String.length key in
+         let rec has i =
+           i + n <= String.length summary
+           && (String.sub summary i n = key || has (i + 1))
+         in
+         has 0)
+  | entries ->
+      Alcotest.failf "expected 1 slow entry, got %d" (List.length entries));
+  Slow_log.clear ()
+
 let test_slow_log_env_threshold () =
   Unix.putenv "STANDOFF_SLOW_MS" "250";
   Fun.protect
@@ -486,6 +565,8 @@ let () =
             test_deadline_partial_trace;
           Alcotest.test_case "STANDOFF_TRACE forces collection" `Quick
             test_trace_forced_by_env;
+          Alcotest.test_case "index-build spans, cold and warm" `Quick
+            test_trace_index_build_spans;
         ] );
       ( "slow-log",
         [
@@ -495,5 +576,7 @@ let () =
             test_slow_log_sink_and_summary;
           Alcotest.test_case "STANDOFF_SLOW_MS threshold" `Quick
             test_slow_log_env_threshold;
+          Alcotest.test_case "cold query seconds cover its phases" `Quick
+            test_slow_log_bills_preparation;
         ] );
     ]

@@ -86,6 +86,83 @@ let test_extract_non_integer_rejected () =
     | exception Annots.Invalid_region _ -> true
     | _ -> false)
 
+(* Positions are native ints: a value that fits int64 but not 63 bits
+   is rejected with its own message, on the annotation that holds it. *)
+let test_extract_beyond_63_bits () =
+  let d =
+    Doc.parse ~name:"t"
+      "<t><a start=\"0\" end=\"4611686018427387903\"/>\
+       <b start=\"4611686018427387904\" end=\"4611686018427387905\"/></t>"
+  in
+  Alcotest.(check (option (pair int string))) "rejected on b"
+    (Some (3, "start position \"4611686018427387904\" does not fit in 63 bits"))
+    (match Annots.extract Config.default d with
+    | exception Annots.Invalid_region { pre; msg } -> Some (pre, msg)
+    | _ -> None)
+
+(* The allocation-free fast path agrees with the reading it shortcuts,
+   [Int64.of_string_opt (String.trim s)] narrowed to 63 bits, on
+   whitespace, signs, radix prefixes, separators, empty strings and
+   18/19/20-digit and out-of-range values. *)
+let gen_position_string =
+  QCheck.Gen.(
+    let digits n = string_size ~gen:(char_range '0' '9') (return n) in
+    frequency
+      [
+        (4, int_range 0 22 >>= digits);
+        ( 2,
+          map2 ( ^ )
+            (oneofl
+               [ ""; " "; "\t"; "\n "; "-"; "+"; "0x"; "0o"; "0b"; "0u"; "-0x"; " -" ])
+            (int_range 0 20 >>= digits) );
+        ( 1,
+          map2 ( ^ ) (int_range 1 19 >>= digits)
+            (oneofl [ " "; "_"; "_1"; "x"; "\r"; "."; "e3" ]) );
+        ( 1,
+          oneofl
+            [
+              "";
+              " ";
+              "999999999999999999";
+              "4611686018427387903";
+              "4611686018427387904";
+              "-4611686018427387904";
+              "-4611686018427387905";
+              "9223372036854775807";
+              "9223372036854775808";
+              "18446744073709551615";
+              "0x3fffffffffffffff";
+              "0x4000000000000000";
+              "0xffffffffffffffff";
+              "0u18446744073709551615";
+              "1_000";
+              "0b101";
+              "0o777";
+              "00000000000000000001";
+              "12345678901234567890";
+            ] );
+        (1, string_size ~gen:printable (int_range 0 8));
+      ])
+
+let qcheck_position_parsing_parity =
+  QCheck.Test.make ~name:"position fast path = Int64.of_string_opt (trim)"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_position_string)
+    (fun s ->
+      let expected =
+        match Int64.of_string_opt (String.trim s) with
+        | None -> Error (Printf.sprintf "start position %S is not an integer" s)
+        | Some v when Int64.of_int (Int64.to_int v) = v -> Ok (Int64.to_int v)
+        | Some _ ->
+            Error (Printf.sprintf "start position %S does not fit in 63 bits" s)
+      in
+      let got =
+        match Annots.position_of_string ~pre:7 ~what:"start" s with
+        | v -> Ok v
+        | exception Annots.Invalid_region { pre = 7; msg } -> Error msg
+      in
+      got = expected)
+
 let test_extract_renamed () =
   let config =
     Config.set_option
@@ -139,7 +216,7 @@ let test_index_clustering () =
   in
   Alcotest.(check int) "rows (multi-region repeats id)" 4
     (Region_index.row_count idx);
-  Alcotest.(check (list int64)) "clustered on start" [ 0L; 5L; 5L; 50L ]
+  Alcotest.(check (list int)) "clustered on start" [ 0; 5; 5; 50 ]
     (Array.to_list idx.Region_index.starts);
   (* Equal starts: wider region first. *)
   Alcotest.(check (list int)) "ids" [ 11; 12; 10; 12 ]
@@ -170,8 +247,87 @@ let test_index_restrict () =
   in
   let r = Region_index.restrict idx ~ids:[| 10; 12 |] in
   Alcotest.(check int) "restricted rows" 3 (Region_index.row_count r);
-  Alcotest.(check (list int64)) "start order preserved" [ 5L; 5L; 50L ]
+  Alcotest.(check (list int)) "start order preserved" [ 5; 5; 50 ]
     (Array.to_list r.Region_index.starts)
+
+(* Rows [(start, end, id, rank)]: every id has one to three ranks, and
+   positions come from a narrow or a wide range, so that tied starts
+   and tied ends are common in the one and rare in the other. *)
+let gen_index_rows =
+  QCheck.Gen.(
+    let* ids = int_range 0 400 in
+    let* span = oneofl [ 8; 60; 1_000_000 ] in
+    let row id rank =
+      let* start = int_range (-span / 4) span in
+      let+ width = int_range 0 (max 1 (span / 4)) in
+      (start, start + width, id, rank)
+    in
+    let* per_id = list_repeat ids (int_range 1 3) in
+    flatten_l
+      (List.concat
+         (List.mapi
+            (fun i k -> List.init k (fun rank -> row ((i * 3) + 1) rank))
+            per_id)))
+
+let index_order (s1, e1, i1, r1) (s2, e2, i2, r2) =
+  compare (s1, -e1, i1, r1) (s2, -e2, i2, r2)
+
+(* The arrival orders the build must not depend on. *)
+let gen_arrival =
+  QCheck.Gen.(
+    let* rows = gen_index_rows in
+    let sorted = List.sort index_order rows in
+    let swap_some k =
+      let a = Array.of_list sorted in
+      let n = Array.length a in
+      let+ pairs = list_repeat k (pair (int_bound (max 0 (n - 1))) (int_bound 3)) in
+      if n > 1 then
+        List.iter
+          (fun (i, d) ->
+            let j = min (n - 1) (i + d + 1) in
+            let x = a.(i) in
+            a.(i) <- a.(j);
+            a.(j) <- x)
+          pairs;
+      Array.to_list a
+    in
+    let* arrival =
+      frequency
+        [
+          (3, shuffle_l rows);
+          (1, return (List.rev sorted));
+          (1, return sorted);
+          (3, int_range 1 12 >>= swap_some);
+          (1, return rows);
+        ]
+    in
+    return (sorted, arrival))
+
+let qcheck_index_any_arrival_order =
+  QCheck.Test.make ~name:"of_rows on any arrival order = reference sort"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (_, arrival) ->
+         String.concat ";"
+           (List.map
+              (fun (s, e, i, r) -> Printf.sprintf "(%d,%d,%d,%d)" s e i r)
+              arrival))
+       gen_arrival)
+    (fun (sorted, arrival) ->
+      let col f = Array.of_list (List.map f arrival) in
+      let idx =
+        Region_index.of_rows
+          ~starts:(col (fun (s, _, _, _) -> s))
+          ~ends:(col (fun (_, e, _, _) -> e))
+          ~ids:(col (fun (_, _, i, _) -> i))
+          ~ranks:(col (fun (_, _, _, r) -> r))
+      in
+      List.init (Region_index.row_count idx) (fun k ->
+          ( idx.Region_index.starts.(k),
+            idx.Region_index.ends.(k),
+            idx.Region_index.ids.(k),
+            idx.Region_index.region_ranks.(k) ))
+      = sorted)
 
 (* ------------------------------------------------------------ *)
 (* The §3.1 multimedia example (Figure 1)                        *)
@@ -559,6 +715,20 @@ let qcheck_candidate_index_paths_agree =
       dump (Annots.candidate_index annots ~candidates:(Some candidates))
       = dump (Annots.candidate_index_scan annots ~candidates:(Some candidates)))
 
+(* The same in the element representation, where an area spans several
+   table rows that the candidate-side build must gather with their
+   ranks. *)
+let qcheck_candidate_index_multi_region =
+  QCheck.Test.make
+    ~name:"multi-region candidate_index = scan" ~count:300
+    (QCheck.make ~print:print_multi_case gen_multi_case)
+    (fun (areas, _, cand_picks) ->
+      let d = build_region_doc areas in
+      let annots = Annots.extract (Config.with_region_elements Config.default) d in
+      let candidates = Some (subset_pres annots cand_picks) in
+      Annots.candidate_index annots ~candidates
+      = Annots.candidate_index_scan annots ~candidates)
+
 (* Udf_no_candidates applies the node test after the join; with the
    candidate set equal to all annotations the two UDF variants must
    coincide. *)
@@ -625,12 +795,16 @@ let () =
           Alcotest.test_case "region elements" `Quick test_extract_region_elements;
           Alcotest.test_case "representation isolation" `Quick
             test_extract_attr_mode_ignores_region_elements;
+          Alcotest.test_case "position beyond 63 bits" `Quick
+            test_extract_beyond_63_bits;
+          QCheck_alcotest.to_alcotest qcheck_position_parsing_parity;
         ] );
       ( "region-index",
         [
           Alcotest.test_case "clustering" `Quick test_index_clustering;
           Alcotest.test_case "restrict" `Quick test_index_restrict;
           Alcotest.test_case "restrict_ids" `Quick test_restrict_ids;
+          QCheck_alcotest.to_alcotest qcheck_index_any_arrival_order;
         ] );
       ( "table-3.1",
         [
@@ -655,5 +829,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_candidate_index_paths_agree;
           QCheck_alcotest.to_alcotest qcheck_udf_variants_coincide;
           QCheck_alcotest.to_alcotest qcheck_select_reject_partition;
+          QCheck_alcotest.to_alcotest qcheck_candidate_index_multi_region;
         ] );
     ]
