@@ -542,7 +542,7 @@ let active_set_ablation () =
 
 let planner ?(scale = 0.01) ?(jobs = 1) () =
   section "Planner: optimized plan vs direct lowering (XMark queries)";
-  let setup = Setup.build ~scale ~with_standard:false ~jobs () in
+  let setup = Setup.build ~scale ~with_standard:true ~jobs () in
   Printf.printf "xmark scale %g (%s serialized), %d jobs\n\n" scale
     (Setup.size_label setup.Setup.serialized_size) jobs;
   let engine = setup.Setup.engine in
@@ -551,37 +551,57 @@ let planner ?(scale = 0.01) ?(jobs = 1) () =
     (Engine.run engine ~rollback_constructed:true
        (Printf.sprintf "count(doc(\"%s\")//site/select-narrow::people)"
           setup.Setup.standoff_doc));
-  Printf.printf "%-6s %12s %12s %10s %8s\n" "query" "direct" "planned"
+  (* The paper's queries in stand-off form, plus the two point lookups
+     (Q1 and the single-auction A1, attribute-value predicates) in both
+     forms. *)
+  let so q = (q.Queries.id, q.Queries.standoff setup.Setup.standoff_doc) in
+  let st q =
+    (q.Queries.id ^ "-std", q.Queries.standard setup.Setup.standard_doc)
+  in
+  let queries =
+    List.map so Queries.all @ [ st Queries.q1; so Queries.a1; st Queries.a1 ]
+  in
+  Printf.printf "%-7s %12s %12s %10s %8s\n" "query" "direct" "planned"
     "speedup" "agree";
-  Printf.printf "%s\n" (String.make 52 '-');
-  List.iter
-    (fun query ->
-      let text = query.Queries.standoff setup.Setup.standoff_doc in
-      let measure ~optimize =
-        let prepared = Engine.prepare engine ~optimize text in
-        (* One warm-up run, then the median of five. *)
-        let once () =
-          let (r, t) =
-            Timing.time (fun () ->
-                Engine.run_prepared engine ~rollback_constructed:true prepared)
+  Printf.printf "%s\n" (String.make 53 '-');
+  let disagreements =
+    List.filter
+      (fun (id, text) ->
+        let measure ~optimize =
+          let prepared = Engine.prepare engine ~optimize text in
+          (* One warm-up run, then the median of five. *)
+          let once () =
+            let (r, t) =
+              Timing.time (fun () ->
+                  Engine.run_prepared engine ~rollback_constructed:true prepared)
+            in
+            (r.Engine.serialized, t)
           in
-          (r.Engine.serialized, t)
+          let serialized, _ = once () in
+          let times = Array.init 5 (fun _ -> snd (once ())) in
+          Array.sort compare times;
+          (serialized, times.(Array.length times / 2))
         in
-        let serialized, _ = once () in
-        let times = Array.init 5 (fun _ -> snd (once ())) in
-        Array.sort compare times;
-        (serialized, times.(Array.length times / 2))
-      in
-      let direct_out, t_direct = measure ~optimize:false in
-      let planned_out, t_planned = measure ~optimize:true in
-      Printf.printf "%-6s %10.2fms %10.2fms %9.2fx %8b\n%!" query.Queries.id
-        (t_direct *. 1000.0) (t_planned *. 1000.0)
-        (t_direct /. t_planned)
-        (String.equal direct_out planned_out))
-    Queries.all;
+        let direct_out, t_direct = measure ~optimize:false in
+        let planned_out, t_planned = measure ~optimize:true in
+        let agree = String.equal direct_out planned_out in
+        Printf.printf "%-7s %10.2fms %10.2fms %9.2fx %8b\n%!" id
+          (t_direct *. 1000.0) (t_planned *. 1000.0)
+          (t_direct /. t_planned)
+          agree;
+        not agree)
+      queries
+  in
   Printf.printf
     "\n(direct = structural lowering evaluated as-is; planned = after\n\
-    \ candidate pushdown, step fusion, and per-operator strategy selection)\n"
+    \ candidate and attribute-value pushdown, step fusion, and per-operator\n\
+    \ strategy selection)\n";
+  match disagreements with
+  | [] -> ()
+  | bad ->
+      Printf.eprintf "planner: optimized and direct plans disagree on %s\n"
+        (String.concat ", " (List.map fst bad));
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Parallel scaling: the jobs sweep of the multicore execution layer.

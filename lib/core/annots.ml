@@ -263,16 +263,6 @@ let extract config doc =
     restricted_cache = cache_create ();
   }
 
-let traced_build trace ~mode f ~rows =
-  match trace with
-  | None -> f ()
-  | Some tr ->
-      Trace.with_span tr "index-build" (fun sp ->
-          Trace.set_str sp "mode" mode;
-          let built = f () in
-          Trace.set_int sp "rows" (rows built);
-          built)
-
 let annotation_count t = Array.length t.ids
 
 let find_slot t pre =
@@ -315,11 +305,11 @@ let candidate_index_scan t ~candidates =
   | None -> t.index
   | Some ids -> Region_index.restrict t.index ~ids
 
-let candidate_index ?trace t ~candidates =
+let candidate_index ?trace ?(cache = true) t ~candidates =
   match candidates with
   | None -> t.index
   | Some ids -> (
-      match Lru.find t.restricted_cache ids with
+      match if cache then Lru.find t.restricted_cache ids else None with
       | Some idx -> idx
       | None ->
           (* §4.3 index intersection on node-id, done from the
@@ -328,8 +318,8 @@ let candidate_index ?trace t ~candidates =
              like the full one.  Candidates come in document order, so
              the rows arrive as ordered as the full table's. *)
           let idx =
-            traced_build trace ~mode:"warm" ~rows:Region_index.row_count
-              (fun () ->
+            Trace.index_build trace ~index:"restricted" ~mode:"warm"
+              ~rows:Region_index.row_count (fun () ->
                 let sub = table (Array.length ids) in
                 Array.iter
                   (fun pre ->
@@ -344,5 +334,5 @@ let candidate_index ?trace t ~candidates =
                 let _, _, _, _, idx = seal sub in
                 idx)
           in
-          Lru.add t.restricted_cache ids idx;
+          if cache then Lru.add t.restricted_cache ids idx;
           idx)

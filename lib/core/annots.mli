@@ -95,12 +95,18 @@ val restrict_ids : t -> candidates:int array -> int array
     {!Region_index.of_rows}, as ordered on arrival as the table's own
     since candidates come in document order — and cached per candidate
     set (structural key, small LRU), so a loop-lifted query pays for it
-    once.  A build (a
-    cache miss) runs under an ["index-build"] span of [trace] with
-    attributes [mode = "warm"] (derived from an already built table)
-    and [rows]. *)
+    once.  [cache:false] (default [true]) neither consults nor fills
+    the LRU: one-off candidate sets (a value-index probe's few hits)
+    must not evict the name-restricted indexes repeat queries reuse.
+    A build (a cache miss) runs under an ["index-build"] span of
+    [trace] with attributes [index = "restricted"], [mode = "warm"]
+    (derived from an already built table) and [rows]. *)
 val candidate_index :
-  ?trace:Standoff_obs.Trace.t -> t -> candidates:int array option -> Region_index.t
+  ?trace:Standoff_obs.Trace.t ->
+  ?cache:bool ->
+  t ->
+  candidates:int array option ->
+  Region_index.t
 
 (** [candidate_index_scan t ~candidates] is the same restriction
     computed the way the paper's pre-loop-lifting engine computes it on
@@ -109,10 +115,3 @@ val candidate_index :
     this — "repeated full scans of the region index" is precisely why
     Basic StandOff MergeJoin does not finish XMark Q2 (§4.6). *)
 val candidate_index_scan : t -> candidates:int array option -> Region_index.t
-
-(** [traced_build trace ~mode f] runs the index build [f] under an
-    ["index-build"] span of [trace] (when given), recording [mode]
-    (["cold"] for a build from the document, ["warm"] for one derived
-    from built structures) and the [rows] of the index it returns. *)
-val traced_build :
-  Standoff_obs.Trace.t option -> mode:string -> (unit -> 'a) -> rows:('a -> int) -> 'a

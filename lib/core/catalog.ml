@@ -58,7 +58,7 @@ let annots ?trace cat config doc =
          second insert wins the check below and the loser result is
          dropped. *)
       let a =
-        Annots.traced_build trace ~mode:"cold"
+        Standoff_obs.Trace.index_build trace ~index:"annotations" ~mode:"cold"
           ~rows:(fun a -> Region_index.row_count a.Annots.index)
           (fun () -> Annots.extract config doc)
       in

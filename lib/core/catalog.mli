@@ -16,7 +16,8 @@ val create : unit -> t
     inserts are mutex-protected (extraction itself runs outside the
     lock), so the catalogue may be shared across pool domains.  An
     extraction runs under an ["index-build"] span of [trace] with
-    attributes [mode = "cold"] and [rows] (region-index rows built). *)
+    attributes [index = "annotations"], [mode = "cold"] and [rows]
+    (region-index rows built). *)
 val annots :
   ?trace:Standoff_obs.Trace.t -> t -> Config.t -> Standoff_store.Doc.t -> Annots.t
 

@@ -249,11 +249,11 @@ let run_sequence op strategy annots ?(active_set = Active_set.Sorted_list)
       pres
 
 let run_lifted op strategy annots ?pool ?(active_set = Active_set.Sorted_list)
-    ?(deadline = Timing.no_deadline) ?stats ~loop ~context_iters ~context_pres
-    ~candidates () =
+    ?(deadline = Timing.no_deadline) ?stats ?cache ~loop ~context_iters
+    ~context_pres ~candidates () =
   match strategy with
   | Config.Loop_lifted -> (
-      let cand_index = Annots.candidate_index annots ~candidates in
+      let cand_index = Annots.candidate_index ?cache annots ~candidates in
       let n_loop = Array.length loop in
       let chunks =
         match pool with

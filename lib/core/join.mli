@@ -72,7 +72,8 @@ val run_sequence :
     runs one merge sweep per chunk against the shared immutable
     candidate index; chunk outputs are concatenated in chunk order, so
     the result is identical to the sequential sweep.  The [deadline]
-    is honoured inside every chunk. *)
+    is honoured inside every chunk.  [cache] is passed to
+    {!Annots.candidate_index}. *)
 val run_lifted :
   Op.t ->
   Config.strategy ->
@@ -81,6 +82,7 @@ val run_lifted :
   ?active_set:Active_set.kind ->
   ?deadline:Standoff_util.Timing.deadline ->
   ?stats:stats ->
+  ?cache:bool ->
   loop:int array ->
   context_iters:int array ->
   context_pres:int array ->

@@ -106,6 +106,21 @@ let set_int sp key n = set_attr sp key (Int n)
 let set_str sp key s = set_attr sp key (Str s)
 let set_float sp key f = set_attr sp key (Float f)
 
+(* Run the index build [f] under an ["index-build"] span of [trace]
+   (when given), recording which [index] it builds, its [mode]
+   (["cold"] for a build from the document, ["warm"] for one derived
+   from built structures) and the [rows] of the index it returns. *)
+let index_build trace ~index ~mode ~rows f =
+  match trace with
+  | None -> f ()
+  | Some tr ->
+      with_span tr "index-build" (fun sp ->
+          set_str sp "index" index;
+          set_str sp "mode" mode;
+          let built = f () in
+          set_int sp "rows" (rows built);
+          built)
+
 (* Accumulate: per-shard contributions to one join span sum up. *)
 let add_int sp key n =
   let base =

@@ -146,7 +146,13 @@ let build ?pool ~generation (d : Doc.t) =
   Metrics.add m_paths paths;
   { Doc.guide_root = root; guide_paths = paths; guide_generation = generation }
 
-let get ?pool ~generation (d : Doc.t) =
+(* Elements summarised: every element lies on exactly one path. *)
+let rec element_count g =
+  Hashtbl.fold
+    (fun _ c acc -> acc + element_count c)
+    g.Doc.g_children (Array.length g.Doc.g_pres)
+
+let get ?pool ?trace ~generation (d : Doc.t) =
   match Doc.dataguide_cache d with
   | Some g when g.Doc.guide_generation = generation -> g
   | _ ->
@@ -154,7 +160,12 @@ let get ?pool ~generation (d : Doc.t) =
           match Doc.dataguide_cache d with
           | Some g when g.Doc.guide_generation = generation -> g
           | _ ->
-              let g = build ?pool ~generation d in
+              let g =
+                Standoff_obs.Trace.index_build trace ~index:"dataguide"
+                  ~mode:"cold"
+                  ~rows:(fun g -> element_count g.Doc.guide_root)
+                  (fun () -> build ?pool ~generation d)
+              in
               Doc.publish_dataguide d g;
               g)
 

@@ -29,11 +29,19 @@ type step = bool * string
     through {!get}. *)
 val build : ?pool:Standoff_util.Pool.t -> generation:int -> Doc.t -> Doc.guide
 
-(** [get ?pool ~generation d] is the cached guide when its stamp
-    matches [generation], else a fresh {!build} published under the
-    document's index lock.  Concurrent callers race benignly: exactly
-    one builds, the rest block and receive the published guide. *)
-val get : ?pool:Standoff_util.Pool.t -> generation:int -> Doc.t -> Doc.guide
+(** [get ?pool ?trace ~generation d] is the cached guide when its
+    stamp matches [generation], else a fresh {!build} published under
+    the document's index lock.  Concurrent callers race benignly:
+    exactly one builds, the rest block and receive the published
+    guide.  A build runs under an ["index-build"] span of [trace]
+    ([index = "dataguide"], [mode = "cold"], [rows] = elements
+    summarised). *)
+val get :
+  ?pool:Standoff_util.Pool.t ->
+  ?trace:Standoff_obs.Trace.t ->
+  generation:int ->
+  Doc.t ->
+  Doc.guide
 
 (** [lookup d g steps] is the sorted, duplicate-free array of pres of
     the elements [steps] reaches from the document node.  A name

@@ -28,6 +28,20 @@ type guide = {
           mismatch at probe time means rebuild *)
 }
 
+(* Attribute-value index for one attribute name: the name's attribute
+   rows sorted by (value hash, owner pre).  Like the guide, the type lives
+   here so the per-document cache slot can hold it; [Attr_index] owns
+   construction and probing. *)
+type value_index = {
+  vi_name : int;  (** interned attribute name *)
+  vi_rows : int array;
+      (** rows of the attribute table named [vi_name], sorted by
+          (value hash, owner pre) *)
+  vi_hashes : int array;  (** the rows' value hashes, in the same order *)
+  vi_generation : int;
+      (** the catalogue generation the index was built under *)
+}
+
 type t = {
   doc_name : string;
   doc_uid : int;
@@ -45,6 +59,7 @@ type t = {
   index_lock : Mutex.t;
   mutable elem_index : (int, int array) Hashtbl.t option;
   mutable dataguide : guide option;
+  mutable value_indexes : value_index list;
 }
 
 (* Process-unique document identities.  Names are unique only while a
@@ -124,6 +139,7 @@ let of_dom ~name:doc_name (dom : Dom.document) =
     index_lock = Mutex.create ();
     elem_index = None;
     dataguide = None;
+    value_indexes = [];
   }
 
 let parse ~name s = of_dom ~name (Standoff_xml.Parser.parse_string s)
@@ -182,6 +198,7 @@ let of_columns ~doc_name ~names ~kind ~size ~level ~parent ~name ~value
       index_lock = Mutex.create ();
       elem_index = None;
       dataguide = None;
+      value_indexes = [];
     }
   in
   !check_invariants_ref d;
@@ -272,6 +289,15 @@ let with_index_lock d f =
 
 let dataguide_cache d = d.dataguide
 let publish_dataguide d g = d.dataguide <- Some g
+
+let value_index_cache d nid =
+  List.find_opt (fun vi -> vi.vi_name = nid) d.value_indexes
+
+(* The list is replaced, never mutated: a reader outside the lock sees
+   either the old list or the new one. *)
+let publish_value_index d vi =
+  d.value_indexes <-
+    vi :: List.filter (fun old -> old.vi_name <> vi.vi_name) d.value_indexes
 
 let build_elem_index d =
   match d.elem_index with

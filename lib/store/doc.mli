@@ -41,6 +41,21 @@ type guide = {
           on mismatch, so updated documents never serve stale pres *)
 }
 
+(** One attribute-value index ({!Attr_index}): the attribute rows of
+    one interned name, sorted by (value hash, owner pre).
+    Defined here so the per-document cache slot in {!t} can hold it. *)
+type value_index = {
+  vi_name : int;  (** interned attribute name *)
+  vi_rows : int array;
+      (** rows of the attribute table named [vi_name], sorted by
+          (value hash, owner pre).  Shared — never mutate. *)
+  vi_hashes : int array;  (** the rows' value hashes, in the same order *)
+  vi_generation : int;
+      (** the catalogue generation the index was built under;
+          {!Attr_index.get} rebuilds on mismatch, since updates rewrite
+          [attr_value] in place *)
+}
+
 type t = private {
   doc_name : string;
   doc_uid : int;
@@ -65,6 +80,8 @@ type t = private {
           distinct documents proceed concurrently *)
   mutable elem_index : (int, int array) Hashtbl.t option;
   mutable dataguide : guide option;
+  mutable value_indexes : value_index list;
+      (** built attribute-value indexes, at most one per name *)
 }
 
 (** [of_dom ~name dom] shreds a DOM document. *)
@@ -167,6 +184,15 @@ val dataguide_cache : t -> guide option
     replacing any older-generation one.  Call under
     {!with_index_lock}. *)
 val publish_dataguide : t -> guide -> unit
+
+(** [value_index_cache d nid] is the cached value index of attribute
+    name [nid], if one has been built (possibly for an older
+    generation — the caller checks). *)
+val value_index_cache : t -> int -> value_index option
+
+(** [publish_value_index d vi] installs [vi], replacing any index of
+    the same name.  Call under {!with_index_lock}. *)
+val publish_value_index : t -> value_index -> unit
 
 (** [to_dom d pre] re-materialises the subtree rooted at [pre] as a DOM
     node.  [pre] may be the document node, in which case the root

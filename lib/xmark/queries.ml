@@ -85,6 +85,30 @@ let q7 =
 
 let all = [ q1; q2; q6; q7 ]
 
+(* Not in the paper: the single-auction lookup of the serving
+   benchmark's point workload — one open auction by id, then its first
+   bidder's increase. *)
+let a1 =
+  {
+    id = "A1";
+    description =
+      "Return the first increase of the open auction with ID open_auction0";
+    standard =
+      (fun doc ->
+        Printf.sprintf
+          "for $a in doc(\"%s\")/site/open_auctions/open_auction[@id = \
+           \"open_auction0\"]\n\
+           return $a/bidder[1]/increase/text()"
+          doc);
+    standoff =
+      (fun doc ->
+        Printf.sprintf
+          "for $a in doc(\"%s\")//site/select-narrow::open_auctions\n\
+          \    /select-narrow::open_auction[@id = \"open_auction0\"]\n\
+           return $a/select-narrow::bidder[1]/select-narrow::increase"
+          doc);
+  }
+
 type extended_query = {
   ext_id : string;
   ext_description : string;

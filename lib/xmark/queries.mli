@@ -23,6 +23,11 @@ val q7 : query
 (** [all] in paper order. *)
 val all : query list
 
+(** [a1] — not in the paper: a single-auction lookup (one
+    [open_auction] by [@id], then its first bidder's increase), the
+    serving benchmark's second point request.  Not in {!all}. *)
+val a1 : query
+
 (** [find id] looks a query up by its id (case-insensitive).
     @raise Not_found on unknown ids. *)
 val find : string -> query

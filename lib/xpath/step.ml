@@ -1,4 +1,5 @@
 module Vec = Standoff_util.Vec
+module Search = Standoff_util.Search
 module Doc = Standoff_store.Doc
 module Collection = Standoff_store.Collection
 module Item = Standoff_relalg.Item
@@ -65,7 +66,89 @@ let positional (t : Table.t) k =
     Table.of_rows (List.rev !rows)
   end
 
-let axis_step coll axis ?position ~test (context : Table.t) =
+(* A child/descendant step restricted to [hits] (sorted pres), answered
+   from the hit side: each hit matching [test] is joined to the context
+   rows holding its parent (child) or any proper ancestor (descendant),
+   found by binary search over the context in pre order (a for-loop
+   over a path has it so already; otherwise it is sorted here).  The
+   pairs are then put in (iter, pre) order without duplicates — what
+   [Axes.eval_lifted] returns. *)
+let hits_step doc axis ~test ~hits ~context_iters ~context_pres =
+  let n = Array.length context_pres in
+  let rec ascending i =
+    i >= n || (context_pres.(i - 1) <= context_pres.(i) && ascending (i + 1))
+  in
+  let row =
+    if ascending 1 then Fun.id
+    else begin
+      let by_pre = Array.init n Fun.id in
+      Array.stable_sort
+        (fun a b -> Int.compare context_pres.(a) context_pres.(b))
+        by_pre;
+      fun k -> by_pre.(k)
+    end
+  in
+  let out_iters = Vec.create () and out_pres = Vec.create () in
+  let join_to hit anc =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if context_pres.(row mid) < anc then lo := mid + 1 else hi := mid
+    done;
+    let k = ref !lo in
+    while !k < n && context_pres.(row !k) = anc do
+      Vec.push out_iters context_iters.(row !k);
+      Vec.push out_pres hit;
+      incr k
+    done
+  in
+  Array.iter
+    (fun hit ->
+      if Node_test.matches doc test hit then
+        match axis with
+        | Axes.Child -> join_to hit doc.Doc.parent.(hit)
+        | _ ->
+            let anc = ref doc.Doc.parent.(hit) in
+            while !anc >= 0 do
+              join_to hit !anc;
+              anc := doc.Doc.parent.(!anc)
+            done)
+    hits;
+  (* Hits were visited in pre order, so a stable sort on iter leaves
+     each iteration's pres ascending. *)
+  let iters = Vec.to_array out_iters and pres = Vec.to_array out_pres in
+  let order = Array.init (Array.length pres) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare iters.(a) iters.(b)) order;
+  let keep = Vec.create () in
+  Array.iteri
+    (fun k r ->
+      let prev = if k = 0 then -1 else order.(k - 1) in
+      if prev < 0 || iters.(prev) <> iters.(r) || pres.(prev) <> pres.(r) then
+        Vec.push keep r)
+    order;
+  let keep = Vec.to_array keep in
+  (Array.map (fun r -> iters.(r)) keep, Array.map (fun r -> pres.(r)) keep)
+
+(* The step's result restricted to [hits]: from the hit side when the
+   hits are no more than the context rows (child and descendant axes),
+   else by running the step and keeping the rows whose pre is a hit. *)
+let restricted_step doc axis ~test ~hits ~context_iters ~context_pres =
+  match axis with
+  | (Axes.Child | Axes.Descendant)
+    when Array.length hits <= Array.length context_pres ->
+      hits_step doc axis ~test ~hits ~context_iters ~context_pres
+  | _ ->
+      let iters, pres =
+        Axes.eval_lifted doc axis ~context_iters ~context_pres ~test
+      in
+      let keep = Vec.create () in
+      Array.iteri
+        (fun r pre -> if Search.mem_sorted_int hits pre then Vec.push keep r)
+        pres;
+      let keep = Vec.to_array keep in
+      (Array.map (fun r -> iters.(r)) keep, Array.map (fun r -> pres.(r)) keep)
+
+let axis_step coll axis ?position ?within ~test (context : Table.t) =
   let keep_attribute_owner = axis = Axes.Parent in
   let parts = partition_by_doc context ~keep_attribute_owner in
   let tables =
@@ -73,7 +156,11 @@ let axis_step coll axis ?position ~test (context : Table.t) =
       (fun (doc_id, context_iters, context_pres) ->
         let doc = Collection.doc coll doc_id in
         let out_iters, out_pres =
-          Axes.eval_lifted doc axis ~context_iters ~context_pres ~test
+          match within with
+          | None -> Axes.eval_lifted doc axis ~context_iters ~context_pres ~test
+          | Some hits_of ->
+              restricted_step doc axis ~test ~hits:(hits_of doc)
+                ~context_iters ~context_pres
         in
         let items =
           Array.map (fun pre -> Item.Node { Collection.doc_id; pre }) out_pres

@@ -94,6 +94,7 @@ type prepared = {
 
 let prepared_plan p = p.p_plan
 let prepared_config p = p.p_config
+let prepared_fingerprint p = p.p_fingerprint
 
 (* Conservative: a call to a constructing user function from a
    non-constructing body still reports [true] (function bodies are
@@ -882,6 +883,10 @@ let analysis_of_trace root =
           (fun a -> a.Plan.a_guide_rows)
           (fun a n -> a.Plan.a_guide_rows <- n)
           "guide_rows";
+        add
+          (fun a -> a.Plan.a_value_hits)
+          (fun a n -> a.Plan.a_value_hits <- n)
+          "value_hits";
         match Trace.str_attr sp "strategy" with
         | Some s -> a.Plan.a_strategy <- Some (Config.strategy_of_string s)
         | None -> ()

@@ -214,6 +214,11 @@ val prepared_plan : prepared -> Plan.t
 (** The configuration the prolog produced. *)
 val prepared_config : prepared -> Standoff.Config.t
 
+(** The plan fingerprint: a digest of the rendered plan (EXPLAIN), the
+    configuration and the strategy label — the query half of the
+    result-cache key. *)
+val prepared_fingerprint : prepared -> string
+
 (** [prepared_constructs p] holds when evaluating [p] may register
     scratch documents in the collection (an element constructor occurs
     in the body, a global variable, or any declared function — the

@@ -5,6 +5,7 @@ module Pool = Standoff_util.Pool
 module Dom = Standoff_xml.Dom
 module Doc = Standoff_store.Doc
 module Dataguide = Standoff_store.Dataguide
+module Attr_index = Standoff_store.Attr_index
 module Collection = Standoff_store.Collection
 module Item = Standoff_relalg.Item
 module Table = Standoff_relalg.Table
@@ -167,6 +168,23 @@ let singleton_of what items =
   | [ x ] -> Some x
   | _ -> Err.raisef "%s expects at most one item per iteration" what
 
+(* The elements of [doc] whose attribute [v.attr] equals [v.literal]
+   (sorted pres): one attribute-value index probe, counted on the
+   operator's span as [value_hits]. *)
+let value_hits env (v : Plan.value_test) doc =
+  let generation = Catalog.generation env.catalog doc.Doc.doc_name in
+  let index = Attr_index.get ?trace:env.trace ~generation doc v.Plan.attr in
+  let hits = Attr_index.probe doc index v.Plan.literal in
+  (match env.span with
+  | Some sp -> Trace.add_int sp "value_hits" (Array.length hits)
+  | None -> ());
+  hits
+
+let filter_sorted keep pres =
+  let out = Vec.create () in
+  Array.iter (fun pre -> if keep pre then Vec.push out pre) pres;
+  Vec.to_array out
+
 (* ------------------------------------------------------------------ *)
 (* StandOff joins                                                     *)
 
@@ -185,8 +203,13 @@ let singleton_of what items =
    - [strategy]: [S_fixed] uses that algorithm; [S_auto] defers to the
      engine-wide override if any, else picks per document from the
      context and candidate sizes.
+   - [value]: a pushed-down [[@a = "lit"]]; the candidates become the
+     elements matching [test] among the attribute-value index hits
+     (valid for all four operators, like the name pushdown).  That
+     one-off restricted index is built per call and kept out of the
+     restricted-index LRU, whose entries repeat queries reuse.
    [span] receives the join statistics as trace attributes. *)
-let standoff_step env ?span ~strategy_choice ~pushdown op test context =
+let standoff_step env ?span ?value ~strategy_choice ~pushdown op test context =
   let by_doc : (int, int Vec.t * int Vec.t) Hashtbl.t = Hashtbl.create 4 in
   let doc_ids = Vec.create () in
   for r = 0 to Table.row_count context - 1 do
@@ -228,9 +251,14 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
         let doc = Collection.doc env.coll doc_id in
         let annots = Catalog.annots ?trace:env.trace env.catalog env.config doc in
         let candidates =
-          if pushdown then
-            Option.map (Doc.elements_named doc) (Node_test.name_filter test)
-          else None
+          match value with
+          | Some v ->
+              Some
+                (filter_sorted (Node_test.matches doc test)
+                   (value_hits env v doc))
+          | None when pushdown ->
+              Option.map (Doc.elements_named doc) (Node_test.name_filter test)
+          | None -> None
         in
         let strategy =
           match strategy_choice with
@@ -246,7 +274,7 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
         (* A loop-lifted join's restricted candidate index is built
            here, on the tracing domain, so a cold build shows as an
            [index-build] span; the shard's own lookup then hits. *)
-        if strategy = Config.Loop_lifted then
+        if strategy = Config.Loop_lifted && value = None then
           ignore
             (Standoff.Annots.candidate_index ?trace:env.trace annots ~candidates);
         let stats =
@@ -270,7 +298,8 @@ let standoff_step env ?span ~strategy_choice ~pushdown op test context =
     in
     let iters, pres =
       Join.run_lifted op strategy annots ?pool:env.pool ~deadline:env.deadline
-        ?stats ~loop ~context_iters ~context_pres ~candidates ()
+        ?stats ~cache:(value = None) ~loop ~context_iters ~context_pres
+        ~candidates ()
     in
     let keep = Vec.create () in
     Array.iteri
@@ -493,22 +522,24 @@ and eval_live env (plan : Plan.t) =
                 (iter, Atomic.to_item (Atomic.negate (Atomic.atomize env.coll item)))
                 :: !rows);
       Table.of_rows (List.rev !rows)
-  | Plan.Axis_step { input; axis; test; position } -> (
+  | Plan.Axis_step { input; axis; test; position; value } -> (
       let ctx = eval env input in
       record_rows_in env ctx;
-      try Step.axis_step env.coll axis ?position ~test ctx
+      let within = Option.map (value_hits env) value in
+      try Step.axis_step env.coll axis ?position ?within ~test ctx
       with Step.Not_a_node item ->
         Err.raisef "axis step applied to non-node %s" (Item.to_string item))
   | Plan.Attribute_step { input; test } ->
       let ctx = eval env input in
       record_rows_in env ctx;
       Step.attribute_step env.coll ~test ctx
-  | Plan.Path_lookup { input; steps } ->
+  | Plan.Path_lookup { input; steps; value } ->
       (* One DataGuide probe answers the whole collapsed path per
          document.  The input evaluates to document nodes only (the
          optimizer collapses over doc()/root() sources exclusively),
          so per context row the matches are the probe's sorted
-         duplicate-free pre list verbatim. *)
+         duplicate-free pre list verbatim — intersected with the
+         attribute-value index hits under a [value] restriction. *)
       let ctx = eval env input in
       record_rows_in env ctx;
       let per_doc : (int, int array) Hashtbl.t = Hashtbl.create 4 in
@@ -518,8 +549,17 @@ and eval_live env (plan : Plan.t) =
         | None ->
             let doc = Collection.doc env.coll doc_id in
             let generation = Catalog.generation env.catalog doc.Doc.doc_name in
-            let guide = Dataguide.get ?pool:env.pool ~generation doc in
+            let guide =
+              Dataguide.get ?pool:env.pool ?trace:env.trace ~generation doc
+            in
             let pres = Dataguide.lookup doc guide steps in
+            let pres =
+              match value with
+              | None -> pres
+              | Some v ->
+                  filter_sorted (Search.mem_sorted_int pres)
+                    (value_hits env v doc)
+            in
             Hashtbl.add per_doc doc_id pres;
             pres
       in
@@ -548,15 +588,15 @@ and eval_live env (plan : Plan.t) =
       | None -> ());
       Table.make (Vec.to_array iters) (Vec.to_array items)
   | Plan.Standoff_join
-      { input; op; test; position; pushdown; strategy; candidates } ->
+      { input; op; test; position; pushdown; strategy; candidates; value } ->
       let ctx = eval env input in
       record_rows_in env ctx;
       let span = env.span in
       let joined =
         match candidates with
         | None ->
-            standoff_step env ?span ~strategy_choice:strategy ~pushdown op test
-              ctx
+            standoff_step env ?span ?value ~strategy_choice:strategy ~pushdown
+              op test ctx
         | Some cand_plan ->
             let cand = eval env cand_plan in
             standoff_function env ?span ~strategy_choice:strategy op test ctx
@@ -1417,23 +1457,36 @@ and standoff_function env ?span ~strategy_choice op test ctx cand_table =
         standoff_function env ?span ~strategy_choice (Op.select_of op) test ctx
           cand_table
       in
+      let annots_of = Hashtbl.create 4 in
+      let annots_of doc_id =
+        match Hashtbl.find_opt annots_of doc_id with
+        | Some a -> a
+        | None ->
+            let doc = Collection.doc env.coll doc_id in
+            let a = Catalog.annots ?trace:env.trace env.catalog env.config doc in
+            Hashtbl.add annots_of doc_id a;
+            a
+      in
       let rows = ref [] in
       Array.iter
         (fun iter ->
-          let matched = Table.sequence_of_iter selected iter in
+          (* An iteration's selected rows are join output, in
+             document order: membership is a binary search. *)
+          let lo, hi = Table.group_bounds selected iter in
+          let matched = Array.sub selected.Table.items lo (hi - lo) in
           List.iter
             (fun item ->
               (* Keep candidates that are area-annotations and did
                  not match. *)
               match item with
               | Item.Node n ->
-                  let doc = Collection.doc env.coll n.Collection.doc_id in
-                  let annots =
-                    Catalog.annots ?trace:env.trace env.catalog env.config doc
-                  in
                   if
-                    Standoff.Annots.is_annotation annots n.Collection.pre
-                    && not (List.exists (Item.equal item) matched)
+                    Standoff.Annots.is_annotation
+                      (annots_of n.Collection.doc_id)
+                      n.Collection.pre
+                    && not
+                         (Search.mem_sorted ~cmp:Item.compare_doc_order matched
+                            item)
                   then rows := (iter, item) :: !rows
               | _ -> ())
             (Table.sequence_of_iter cand_table iter))

@@ -11,6 +11,13 @@
      ([$b/select-narrow::bidder[1]] executes as one step), and a
      [self::name] predicate on an unnamed step becomes its name test;
 
+   - attribute-value pushdown: a [[@a = "literal"]] filter over a
+     name-tested StandOff join, DataGuide path lookup or child /
+     descendant step becomes the operator's [value] restriction, which
+     the evaluator answers from the attribute-value index (the join's
+     candidates, the path's pres, the step's result) instead of
+     evaluating the predicate on every row;
+
    - node-test pushdown (paper §4.3): a name test on a StandOff join
      restricts the candidate region index before the merge sweep
      instead of post-filtering the join result — unless collection
@@ -83,7 +90,7 @@ let collection_stats ?(dataguide = false) ?trace coll catalog config =
           Collection.fold_docs
             (fun acc _ doc ->
               let generation = Catalog.generation catalog doc.Doc.doc_name in
-              let guide = Dataguide.get ~generation doc in
+              let guide = Dataguide.get ?trace ~generation doc in
               acc + Dataguide.count doc guide steps)
             0 coll);
   }
@@ -173,6 +180,7 @@ let self_name_test (p : Plan.t) =
         axis = Axes.Self;
         test = Node_test.Name n;
         position = None;
+        value = None;
       } ->
       Some n
   | _ -> None
@@ -180,6 +188,68 @@ let self_name_test (p : Plan.t) =
 let unnamed_test = function
   | Node_test.Any | Node_test.Kind_node | Node_test.Kind_element None -> true
   | _ -> false
+
+(* ------------------------------------------------------------------ *)
+(* Attribute-value pushdown                                            *)
+
+(* [@a = "lit"] in either operand order: a name test on the context
+   item's attributes against a string literal.  Only a string literal
+   qualifies: against a number the comparison casts the attribute, which
+   may raise, and the index compares strings. *)
+let attr_equals (p : Plan.t) =
+  let attr (q : Plan.t) =
+    match q.Plan.desc with
+    | Plan.Attribute_step
+        { input = { Plan.desc = Plan.Context_item; _ }; test = Node_test.Name a }
+      ->
+        Some a
+    | _ -> None
+  in
+  let literal (q : Plan.t) =
+    match q.Plan.desc with
+    | Plan.Literal (Ast.Lit_string s) -> Some s
+    | _ -> None
+  in
+  match p.Plan.desc with
+  | Plan.Binop (Ast.Op_eq, x, y) -> (
+      match (attr x, literal y, attr y, literal x) with
+      | Some attr, Some literal, _, _ | _, _, Some attr, Some literal ->
+          Some { Plan.attr; literal }
+      | _ -> None)
+  | _ -> None
+
+(* [input[@a = "lit"]] as a restriction of the operator producing
+   [input], when that operator can answer it from the attribute-value
+   index: a name-tested StandOff join on the implicit candidates, a
+   DataGuide path lookup, or a name-tested child/descendant step —
+   none positional or already restricted. *)
+let value_restrict (input : Plan.t) predicate =
+  match attr_equals predicate with
+  | None -> None
+  | Some v -> (
+      let value = Some v in
+      match input.Plan.desc with
+      | Plan.Standoff_join
+          ({
+             test = Node_test.Name _;
+             position = None;
+             candidates = None;
+             value = None;
+             _;
+           } as j) ->
+          Some (Plan.make (Plan.Standoff_join { j with value }))
+      | Plan.Path_lookup ({ value = None; _ } as l) ->
+          Some (Plan.make (Plan.Path_lookup { l with value }))
+      | Plan.Axis_step
+          ({
+             axis = Axes.Child | Axes.Descendant;
+             test = Node_test.Name _;
+             position = None;
+             value = None;
+             _;
+           } as s) ->
+          Some (Plan.make (Plan.Axis_step { s with value }))
+      | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Path collapse (strong DataGuide)                                    *)
@@ -194,7 +264,7 @@ let unnamed_test = function
 let path_base (p : Plan.t) =
   match p.Plan.desc with
   | Plan.Call { name = "doc" | "root"; args = [ _ ] } -> Some (p, [])
-  | Plan.Path_lookup { input; steps } -> Some (input, steps)
+  | Plan.Path_lookup { input; steps; value = None } -> Some (input, steps)
   | _ -> None
 
 (* [a//b] lowers to [child::b] over [descendant-or-self::node()]; a
@@ -208,6 +278,7 @@ let desc_or_self_over_base (p : Plan.t) =
         axis = Axes.Descendant_or_self;
         test = Node_test.Kind_node;
         position = None;
+        value = None;
       } ->
       path_base input
   | _ -> None
@@ -308,6 +379,10 @@ let optimize ?pin_strategy ?(stats = no_stats) ?(dataguide = false) plan =
         | Some true -> body
         | Some false -> Plan.make (Plan.Sequence [])
         | None -> p)
+    (* -------- attribute-value pushdown -------- *)
+    | Plan.Filter { input; predicate }
+      when Option.is_some (value_restrict input predicate) ->
+        Option.get (value_restrict input predicate)
     (* -------- step/filter fusion -------- *)
     | Plan.Filter
         {
@@ -368,26 +443,44 @@ let optimize ?pin_strategy ?(stats = no_stats) ?(dataguide = false) plan =
        express); [a//b] arrives as child::b over
        descendant-or-self::node(), matched as one descendant step. *)
     | Plan.Axis_step
-        { input; axis = Axes.Child; test = Node_test.Name n; position = None }
+        {
+          input;
+          axis = Axes.Child;
+          test = Node_test.Name n;
+          position = None;
+          value = None;
+        }
       when dataguide && Option.is_some (desc_or_self_over_base input) ->
         let root, steps = Option.get (desc_or_self_over_base input) in
-        Plan.make (Plan.Path_lookup { input = root; steps = steps @ [ (true, n) ] })
+        Plan.make
+          (Plan.Path_lookup
+             { input = root; steps = steps @ [ (true, n) ]; value = None })
     | Plan.Axis_step
-        { input; axis = Axes.Child; test = Node_test.Name n; position = None }
+        {
+          input;
+          axis = Axes.Child;
+          test = Node_test.Name n;
+          position = None;
+          value = None;
+        }
       when dataguide && Option.is_some (path_base input) ->
         let root, steps = Option.get (path_base input) in
         Plan.make
-          (Plan.Path_lookup { input = root; steps = steps @ [ (false, n) ] })
+          (Plan.Path_lookup
+             { input = root; steps = steps @ [ (false, n) ]; value = None })
     | Plan.Axis_step
         {
           input;
           axis = Axes.Descendant;
           test = Node_test.Name n;
           position = None;
+          value = None;
         }
       when dataguide && Option.is_some (path_base input) ->
         let root, steps = Option.get (path_base input) in
-        Plan.make (Plan.Path_lookup { input = root; steps = steps @ [ (true, n) ] })
+        Plan.make
+          (Plan.Path_lookup
+             { input = root; steps = steps @ [ (true, n) ]; value = None })
     (* -------- node-test pushdown + strategy pinning -------- *)
     | Plan.Standoff_join j ->
         let pushdown =
@@ -446,13 +539,19 @@ let estimate_cost ~stats plan =
         go a;
         go b
     | Plan.Unary_minus e -> go e
+    (* A value-restricted operator reads only its index hits: it costs
+       what its context side costs, not the named population. *)
+    | Plan.Axis_step { input; value = Some _; _ }
+    | Plan.Path_lookup { input; value = Some _; _ }
+    | Plan.Standoff_join { input; value = Some _; _ } ->
+        go input
     | Plan.Axis_step { input; test; _ } ->
         (match Node_test.name_filter test with
         | Some name -> add (stats.st_named name)
         | None -> ());
         go input
     | Plan.Attribute_step { input; _ } -> go input
-    | Plan.Path_lookup { input; steps } ->
+    | Plan.Path_lookup { input; steps; _ } ->
         add (stats.st_path steps);
         go input
     | Plan.Standoff_join { input; test; pushdown; candidates; _ } ->

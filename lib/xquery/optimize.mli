@@ -1,9 +1,12 @@
 (** Rule-based rewriter over {!Plan.t}.
 
-    A single bottom-up pass applies constant folding, step/filter
-    fusion (positional and [self::name] predicates), node-test
-    pushdown into StandOff-join candidate sets (paper §4.3), and
-    strategy pinning.  All rewrites are result-preserving. *)
+    A single bottom-up pass applies constant folding, attribute-value
+    pushdown ([E\[@a = "literal"\]] becomes a {!Plan.value_test}
+    restriction of the name-tested StandOff join, DataGuide path
+    lookup or child/descendant step producing [E]), step/filter fusion
+    (positional and [self::name] predicates), node-test pushdown into
+    StandOff-join candidate sets (paper §4.3), and strategy pinning.
+    All rewrites are result-preserving. *)
 
 (** Collection statistics consulted by the pushdown rule and the cost
     model. *)
@@ -28,8 +31,9 @@ val no_stats : stats
     the document's current catalogue generation.  Documents whose
     region markup is invalid under [config] contribute nothing (the
     error still surfaces when a query touches them).  Annotation
-    tables built on first use run under ["index-build"] spans of
-    [trace] ({!Standoff.Catalog.annots}). *)
+    tables and DataGuides built on first use run under ["index-build"]
+    spans of [trace] ({!Standoff.Catalog.annots},
+    {!Standoff_store.Dataguide.get}). *)
 val collection_stats :
   ?dataguide:bool ->
   ?trace:Standoff_obs.Trace.t ->
@@ -57,7 +61,9 @@ val optimize :
     [p], in rows touched: per StandOff join, the candidate-set size
     its merge sweep scans (named-element count under pushdown, the
     whole annotation population otherwise); per named axis step, the
-    matching-element count.  The engine's adaptive parallelism choice
+    matching-element count.  A value-restricted operator counts only
+    its context side: it reads its index hits, not the named
+    population, and no index is built to estimate them.  The engine's adaptive parallelism choice
     thresholds on it — cheap requests run sequential and leave domains
     to concurrent requests. *)
 val estimate_cost : stats:stats -> Plan.t -> int

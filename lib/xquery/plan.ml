@@ -54,6 +54,9 @@ and desc =
       axis : Axes.axis;
       test : Node_test.t;
       position : int option;  (** fused positional predicate *)
+      value : value_test option;
+          (** pushed-down attribute-value predicate, applied before
+              [position] *)
     }
   | Attribute_step of { input : t; test : Node_test.t }
   | Standoff_join of {
@@ -68,12 +71,18 @@ and desc =
       strategy : strategy_choice;
       candidates : t option;
           (** explicit candidate sequence (function form, Figure 3) *)
+      value : value_test option;
+          (** pushed-down attribute-value predicate: the candidates
+              become the named elements that are index hits *)
     }
   | Path_lookup of {
       input : t;  (** evaluates to document nodes (doc()/root() calls) *)
       steps : (bool * string) list;
           (** the collapsed child ([false]) / descendant ([true]) name
               steps, answered in one DataGuide probe per document *)
+      value : value_test option;
+          (** pushed-down attribute-value predicate on the path's
+              final elements *)
     }
   | Filter of { input : t; predicate : t }
   | Path_map of { input : t; body : t }
@@ -87,6 +96,12 @@ and desc =
 and attr_part = Fixed of string | Enclosed of t
 
 and order_spec = { key : t; descending : bool }
+
+(** A pushed-down [\[@attr = "literal"\]] predicate: the operator keeps
+    only the elements whose attribute [attr] equals [literal], read
+    from the attribute-value index ({!Standoff_store.Attr_index})
+    instead of filtering every row. *)
+and value_test = { attr : string; literal : string }
 
 type function_def = { fn_name : string; fn_params : string list; fn_body : t }
 
@@ -141,7 +156,9 @@ let lower ?(is_udf = fun _ -> false) expr =
     | Ast.Binop (op, a, b) -> make (Binop (op, go a, go b))
     | Ast.Unary_minus e -> make (Unary_minus (go e))
     | Ast.Step { input; axis = Ast.Std axis; test } ->
-        make (Axis_step { input = go input; axis; test; position = None })
+        make
+          (Axis_step
+             { input = go input; axis; test; position = None; value = None })
     | Ast.Step { input; axis = Ast.Attribute; test } ->
         make (Attribute_step { input = go input; test })
     | Ast.Step { input; axis = Ast.Standoff op; test } ->
@@ -155,6 +172,7 @@ let lower ?(is_udf = fun _ -> false) expr =
                pushdown = false;
                strategy = S_auto;
                candidates = None;
+               value = None;
              })
     | Ast.Call { name; args }
       when (not (is_udf name))
@@ -180,6 +198,7 @@ let lower ?(is_udf = fun _ -> false) expr =
                pushdown = false;
                strategy = S_auto;
                candidates;
+               value = None;
              })
     | Ast.Call { name; args } -> make (Call { name; args = List.map go args })
     | Ast.Filter { input; predicate } ->
@@ -332,6 +351,10 @@ let path_to_string steps =
        (fun (desc, name) -> (if desc then "//" else "/") ^ name)
        steps)
 
+let value_suffix = function
+  | None -> ""
+  | Some v -> Printf.sprintf "[@%s = %S]" v.attr v.literal
+
 let label plan =
   match plan.desc with
   | Literal l -> Printf.sprintf "literal %s" (literal_to_string l)
@@ -353,26 +376,29 @@ let label plan =
   | If _ -> "if"
   | Binop (op, _, _) -> Printf.sprintf "binop %s" (binop_name op)
   | Unary_minus _ -> "negate"
-  | Axis_step { axis; test; position; _ } ->
-      Printf.sprintf "step %s::%s%s" (Axes.axis_to_string axis)
-        (test_to_string test) (position_suffix position)
+  | Axis_step { axis; test; position; value; _ } ->
+      Printf.sprintf "step %s::%s%s%s" (Axes.axis_to_string axis)
+        (test_to_string test) (value_suffix value) (position_suffix position)
   | Attribute_step { test; _ } ->
       Printf.sprintf "step attribute::%s" (test_to_string test)
-  | Standoff_join { op; test; position; pushdown; strategy; candidates; _ } ->
+  | Standoff_join
+      { op; test; position; pushdown; strategy; candidates; value; _ } ->
       let cand_desc =
-        match candidates with
-        | Some _ -> "explicit sequence"
-        | None -> (
-            match (pushdown, Node_test.name_filter test) with
-            | true, Some n -> Printf.sprintf "elements(%s) [pushed-down]" n
-            | _ -> "all-annotations [post-filter test]")
+        match (candidates, value, Node_test.name_filter test) with
+        | Some _, _, _ -> "explicit sequence"
+        | None, Some _, Some n ->
+            Printf.sprintf "elements(%s)%s" n (value_suffix value)
+        | None, _, Some n when pushdown ->
+            Printf.sprintf "elements(%s) [pushed-down]" n
+        | None, _, _ -> "all-annotations [post-filter test]"
       in
       Printf.sprintf "standoff-join %s::%s%s candidates=%s strategy=%s"
         (Op.to_string op) (test_to_string test) (position_suffix position)
         cand_desc
         (strategy_choice_to_string strategy)
-  | Path_lookup { steps; _ } ->
-      Printf.sprintf "path-lookup %s [dataguide]" (path_to_string steps)
+  | Path_lookup { steps; value; _ } ->
+      Printf.sprintf "path-lookup %s%s [dataguide]" (path_to_string steps)
+        (value_suffix value)
   | Filter _ -> "filter"
   | Path_map _ -> "path-map"
   | Call { name = "#ddo"; _ } -> "distinct-doc-order"
@@ -431,6 +457,8 @@ type analysis = {
   mutable a_chunks : int;  (** parallel sweep chunks the joins ran *)
   mutable a_guide_rows : int;
       (** candidate pres the DataGuide probes returned (path lookups) *)
+  mutable a_value_hits : int;
+      (** elements the attribute-value index probes returned *)
   mutable a_strategy : Config.strategy option;
       (** last strategy an auto operator resolved to *)
 }
@@ -444,6 +472,7 @@ let fresh_analysis () =
     a_index_rows = 0;
     a_chunks = 0;
     a_guide_rows = 0;
+    a_value_hits = 0;
     a_strategy = None;
   }
 
@@ -477,6 +506,12 @@ let analyze_suffix plan analysis =
               Buffer.add_string buf
                 (Printf.sprintf " strategy=%s" (Config.strategy_to_string s)))
             m.a_strategy
+      | _ -> ());
+      (match plan.desc with
+      | Axis_step { value = Some _; _ }
+      | Standoff_join { value = Some _; _ }
+      | Path_lookup { value = Some _; _ } ->
+          Buffer.add_string buf (Printf.sprintf " value_hits=%d" m.a_value_hits)
       | _ -> ());
       Buffer.add_string buf (Printf.sprintf " time=%.3fms)" (m.a_seconds *. 1e3));
       Buffer.contents buf

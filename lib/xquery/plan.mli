@@ -42,6 +42,9 @@ and desc =
       axis : Standoff_xpath.Axes.axis;
       test : Standoff_xpath.Node_test.t;
       position : int option;  (** fused positional predicate *)
+      value : value_test option;
+          (** pushed-down attribute-value predicate, applied before
+              [position] *)
     }
   | Attribute_step of { input : t; test : Standoff_xpath.Node_test.t }
   | Standoff_join of {
@@ -54,6 +57,9 @@ and desc =
               index before the join; [false]: post-filter *)
       strategy : strategy_choice;
       candidates : t option;  (** explicit candidates (function form) *)
+      value : value_test option;
+          (** pushed-down attribute-value predicate: the candidates
+              become the named elements that are index hits *)
     }
   | Path_lookup of {
       input : t;  (** evaluates to document nodes (doc()/root() calls) *)
@@ -61,6 +67,9 @@ and desc =
           (** collapsed child ([false]) / descendant ([true]) name
               steps, answered in one {!Standoff_store.Dataguide} probe
               per document *)
+      value : value_test option;
+          (** pushed-down attribute-value predicate on the path's
+              final elements *)
     }
   | Filter of { input : t; predicate : t }
   | Path_map of { input : t; body : t }
@@ -74,6 +83,12 @@ and desc =
 and attr_part = Fixed of string | Enclosed of t
 
 and order_spec = { key : t; descending : bool }
+
+(** A pushed-down [\[@attr = "literal"\]] predicate: the operator keeps
+    only the elements whose attribute [attr] equals [literal], read
+    from the attribute-value index ({!Standoff_store.Attr_index})
+    instead of filtering every row. *)
+and value_test = { attr : string; literal : string }
 
 type function_def = { fn_name : string; fn_params : string list; fn_body : t }
 
@@ -110,6 +125,9 @@ type analysis = {
   mutable a_chunks : int;  (** parallel sweep chunks the joins ran *)
   mutable a_guide_rows : int;
       (** candidate pres the DataGuide probes returned (path lookups) *)
+  mutable a_value_hits : int;
+      (** elements the attribute-value index probes returned
+          (value-restricted operators) *)
   mutable a_strategy : Standoff.Config.strategy option;
       (** last strategy an auto operator resolved to *)
 }
@@ -120,7 +138,8 @@ val fresh_analysis : unit -> analysis
 (** [analyze_suffix p a] is the per-line EXPLAIN ANALYZE annotation for
     node [p]: ["  (not executed)"] when [a] is [None], else the
     counter summary (rows_in only on step-like operators, index rows /
-    chunks / strategy only on StandOff joins). *)
+    chunks / strategy only on StandOff joins, value hits only on
+    value-restricted operators). *)
 val analyze_suffix : t -> analysis option -> string
 
 (** [render ?annotate p] draws the plan tree; [annotate], when given,

@@ -167,6 +167,66 @@ let test_stale_read_regression () =
   Alcotest.(check string) "after update: post-update answer" "0"
     (String.trim r2)
 
+(* The attribute-value index is stamped with the catalogue
+   generation: an update that rewrites [start] in place must be visible
+   to the next [@start = "…"] lookup, through the child step, the
+   DataGuide path and the StandOff join alike, cache on or off. *)
+let test_value_index_after_update () =
+  List.iter
+    (fun cache ->
+      let engine, d = engine_with_region_doc cache in
+      let count q =
+        String.trim
+          (Engine.run engine ~rollback_constructed:true q).Engine.serialized
+      in
+      let lookups start =
+        [
+          Printf.sprintf "count(doc(\"upd.xml\")//c[@start = \"%s\"])" start;
+          Printf.sprintf "count((doc(\"upd.xml\")//c)[@start = \"%s\"])" start;
+          Printf.sprintf
+            "count(doc(\"upd.xml\")//p/select-narrow::c[@start = \"%s\"])"
+            start;
+        ]
+      in
+      List.iter
+        (fun q -> Alcotest.(check string) ("before: " ^ q) "1" (count q))
+        (lookups "2");
+      let pre_c = (Doc.elements_named d "c").(0) in
+      Engine.set_region engine Config.default d ~pre:pre_c (Region.make_int 3 9);
+      List.iter
+        (fun q -> Alcotest.(check string) ("after, old value: " ^ q) "0" (count q))
+        (lookups "2");
+      List.iter
+        (fun q -> Alcotest.(check string) ("after, new value: " ^ q) "1" (count q))
+        (lookups "3"))
+    [ Engine.Cache_off; Engine.Cache_result ]
+
+(* The literal of a pushed-down [@a = "…"] is part of the rendered
+   plan, so it is part of the fingerprint and of the result-cache key:
+   queries that differ only in the literal (one holding a double quote
+   and a closing bracket) never share an entry. *)
+let test_value_literal_keys () =
+  let coll = Collection.create () in
+  ignore
+    (Collection.load_string coll ~name:"lit.xml"
+       "<t><p k=\"x&quot;]y\" start=\"0\" end=\"5\"/>\
+        <p k=\"x\" start=\"1\" end=\"2\"/><p k=\"x\" start=\"3\" end=\"4\"/></t>");
+  let engine = Engine.create ~jobs:1 ~cache:Engine.Cache_result coll in
+  let q1 = "count(doc(\"lit.xml\")//p[@k = 'x\"]y'])" in
+  let q2 = "count(doc(\"lit.xml\")//p[@k = 'x'])" in
+  let fp q = Engine.prepared_fingerprint (Engine.prepare engine q) in
+  Alcotest.(check bool) "distinct fingerprints" false (String.equal (fp q1) (fp q2));
+  let run q =
+    String.trim (Engine.run engine ~rollback_constructed:true q).Engine.serialized
+  in
+  List.iter
+    (fun () ->
+      Alcotest.(check string) "quote-and-bracket literal" "1" (run q1);
+      Alcotest.(check string) "plain literal" "2" (run q2))
+    [ (); () ];
+  Alcotest.(check bool) "repeats were cache hits" true
+    ((Engine.result_cache_stats engine).Lru.hits >= 2)
+
 let test_plan_cache_hits () =
   let engine, _ = engine_with_region_doc Engine.Cache_plan in
   ignore (Engine.run engine ~rollback_constructed:true narrow_count);
@@ -286,6 +346,10 @@ let () =
         [
           Alcotest.test_case "stale read regression (query-update-query)"
             `Quick test_stale_read_regression;
+          Alcotest.test_case "value index sees updates" `Quick
+            test_value_index_after_update;
+          Alcotest.test_case "value literal keys the result" `Quick
+            test_value_literal_keys;
           Alcotest.test_case "plan cache hits" `Quick test_plan_cache_hits;
           Alcotest.test_case "plan cache keys on the dataguide flag" `Quick
             test_plan_cache_dataguide_key;

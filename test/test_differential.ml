@@ -8,8 +8,13 @@
    strategy x jobs point also runs under the result cache, twice (a
    cold miss then a warm hit): both runs must be byte-identical to the
    cache-off reference, so a caching bug can never masquerade as a
-   strategy difference.  QCheck prints the failing document and query;
-   the qcheck random seed is printed at startup for replay. *)
+   strategy difference.  Every case is also run through the direct
+   (unoptimized) lowering under each strategy, which evaluates
+   attribute predicates as filters: the optimizer's rewrites — the
+   attribute-value pushdown into joins, path lookups and steps among
+   them — must not change a byte.  QCheck prints the failing document
+   and query; the qcheck random seed is printed at startup for
+   replay. *)
 
 module Collection = Standoff_store.Collection
 module Persist = Standoff_store.Persist
@@ -33,6 +38,9 @@ type case = {
   query : string;
 }
 
+(* Every region element also carries a small-domain attribute [k]
+   ("0".."3", a function of its region) for the value-predicate
+   shapes to select on. *)
 let doc_of_layers layers =
   let b = Buffer.create 256 in
   Buffer.add_string b "<t>";
@@ -41,32 +49,65 @@ let doc_of_layers layers =
       List.iter
         (fun (s, w) ->
           Buffer.add_string b
-            (Printf.sprintf "<%s start=\"%d\" end=\"%d\"/>" name s (s + w)))
+            (Printf.sprintf "<%s start=\"%d\" end=\"%d\" k=\"%d\"/>" name s
+               (s + w) (((3 * s) + w) mod 4)))
         regions)
     layers;
   Buffer.add_string b "</t>";
   Buffer.contents b
 
+(* Each shape takes the operator, two element names and a [k] value
+   ("4" matches nothing). *)
 let query_shapes =
   [
-    (fun op from_n to_n ->
+    (fun op from_n to_n _ ->
       Printf.sprintf
         "for $x in doc(\"r.xml\")//%s return <g>{count($x/%s::%s)}</g>" from_n
         op to_n);
-    (fun op from_n to_n ->
+    (fun op from_n to_n _ ->
       Printf.sprintf "count(%s(doc(\"r.xml\")//%s, doc(\"r.xml\")//%s))" op
         from_n to_n);
-    (fun op from_n to_n ->
+    (fun op from_n to_n _ ->
       Printf.sprintf
         "count(for $x in doc(\"r.xml\")//%s where count($x/%s::%s) > 0 \
          return $x)"
         from_n op to_n);
-    (fun op from_n to_n ->
+    (fun op from_n to_n _ ->
       (* Two chained joins stress per-operator strategy resolution. *)
       Printf.sprintf
         "for $x in doc(\"r.xml\")//%s return \
          <g>{count($x/%s::%s/select-narrow::%s)}</g>"
         from_n op to_n from_n);
+    (* Attribute-value predicates: on the joins' candidates (all four
+       operators), then positional after the value, on a DataGuide
+       path, and on child and descendant steps from a variable (the
+       last over contexts out of document order). *)
+    (fun op from_n to_n k ->
+      Printf.sprintf
+        "for $x in doc(\"r.xml\")//%s return \
+         <g>{count($x/%s::%s[@k = \"%d\"])}</g>"
+        from_n op to_n k);
+    (fun op from_n to_n k ->
+      Printf.sprintf
+        "for $x in doc(\"r.xml\")//%s return \
+         <g>{string($x/%s::%s[\"%d\" = @k][1]/@start)}</g>"
+        from_n op to_n k);
+    (fun op from_n to_n k ->
+      Printf.sprintf
+        "for $y in (doc(\"r.xml\")//%s)[@k = \"%d\"] return \
+         <g>{count($y/%s::%s)}</g>"
+        from_n k op to_n);
+    (fun _ from_n to_n k ->
+      Printf.sprintf
+        "for $t in doc(\"r.xml\")/t return \
+         (count($t/%s[@k = \"%d\"]), $t/%s[@k = \"%d\"][2])"
+        from_n k to_n k);
+    (fun _ from_n to_n k ->
+      Printf.sprintf
+        "for $d in (doc(\"r.xml\")/t, doc(\"r.xml\")) return \
+         <g>{count($d/descendant::%s[@k = \"%d\"]), \
+         count($d//%s[@k = \"%d\"])}</g>"
+        from_n k to_n k);
   ]
 
 let gen_case =
@@ -77,10 +118,11 @@ let gen_case =
     let* shape = oneofl query_shapes in
     let* from_n = oneofl [ "a"; "b"; "c" ] in
     let* to_n = oneofl [ "a"; "b"; "c" ] in
+    let* k = int_bound 4 in
     return
       {
         layers = [ ("a", a); ("b", b); ("c", c) ];
-        query = shape op from_n to_n;
+        query = shape op from_n to_n k;
       })
 
 let print_case case =
@@ -105,6 +147,17 @@ let run_case coll ?trace ~strategy ~jobs ~dataguide case =
     ~finally:(fun () -> Engine.shutdown e)
     (fun () ->
       (Engine.run e ?trace ~rollback_constructed:true case.query)
+        .Engine.serialized)
+
+(* The direct lowering, no optimizer pass: attribute predicates stay
+   filters, names stay post-filters, paths stay step by step. *)
+let run_case_direct coll ~strategy case =
+  let e = Engine.create ~strategy ~jobs:1 ~cache:Engine.Cache_off coll in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown e)
+    (fun () ->
+      (Engine.run_prepared e ~rollback_constructed:true
+         (Engine.prepare e ~optimize:false case.query))
         .Engine.serialized)
 
 (* One engine with the result cache on, the query run twice: the first
@@ -138,6 +191,16 @@ let qcheck_strategies_identical =
         run_case coll ~strategy:Config.Udf_no_candidates ~jobs:1
           ~dataguide:false case
       in
+      List.for_all
+        (fun strategy ->
+          let direct = run_case_direct coll ~strategy case in
+          String.equal direct reference
+          || QCheck.Test.fail_reportf
+               "strategy=%s optimize=false diverged:\n%s\n  vs reference:\n%s"
+               (Config.strategy_to_string strategy)
+               direct reference)
+        Config.all_strategies
+      &&
       List.for_all
         (fun strategy ->
           List.for_all
@@ -252,6 +315,16 @@ let test_corner_cases () =
         query =
           "for $x in doc(\"r.xml\")//a return \
            <g>{count($x/select-wide::b/select-narrow::c)}</g>" };
+      (* Value predicates on a reject join, a path and both steps: the
+         (0, 10) and (5, 10) regions carry k="2" and k="3". *)
+      { layers =
+          [ ("a", [ (0, 20); (5, 10) ]); ("b", [ (0, 10); (5, 10) ]); ("c", []) ];
+        query =
+          "(for $x in doc(\"r.xml\")//a return \
+           <g>{count($x/reject-wide::b[@k = \"2\"])}</g>, \
+           count((doc(\"r.xml\")//b)[@k = \"3\"]), \
+           count(doc(\"r.xml\")/t/b[@k = \"2\"]), \
+           count(doc(\"r.xml\")/descendant::b[@k = \"4\"]))" };
     ]
   in
   List.iter
@@ -264,6 +337,11 @@ let test_corner_cases () =
       in
       List.iter
         (fun strategy ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s @ %s optimize=false" case.query
+               (Config.strategy_to_string strategy))
+            reference
+            (run_case_direct coll ~strategy case);
           List.iter
             (fun jobs ->
               List.iter

@@ -392,7 +392,8 @@ let nested_coll n =
 let index_builds root =
   List.map
     (fun sp ->
-      ( Option.value ~default:"" (Trace.str_attr sp "mode"),
+      ( Option.value ~default:"" (Trace.str_attr sp "index"),
+        Option.value ~default:"" (Trace.str_attr sp "mode"),
         Option.value ~default:(-1) (Trace.int_attr sp "rows") ))
     (Trace.find_all (fun sp -> Trace.name sp = "index-build") root)
 
@@ -403,20 +404,72 @@ let test_trace_index_build_spans () =
     ignore (Engine.run e ~trace ~strategy:Config.Loop_lifted q);
     Trace.finish trace
   in
-  (* Cold: the annotation table is built under [optimize] (collection
+  (* Cold: the annotation table and the DataGuide (201 elements: the
+     root and 200 annotations) are built under [optimize] (collection
      statistics), the restricted candidate index under the join. *)
   let root = traced "count(doc(\"nested.xml\")//a/select-narrow::b)" in
-  Alcotest.(check (list (pair string int))) "cold table, then warm restriction"
-    [ ("cold", 200); ("warm", 100) ]
+  Alcotest.(check (list (triple string string int)))
+    "cold table and guide, then warm restriction"
+    [
+      ("annotations", "cold", 200);
+      ("dataguide", "cold", 201);
+      ("restricted", "warm", 100);
+    ]
     (index_builds root);
   let optimize =
     List.find (fun sp -> Trace.name sp = "optimize") (Trace.children root)
   in
-  Alcotest.(check int) "the cold build nests in optimize" 1
+  Alcotest.(check int) "the cold builds nest in optimize" 2
     (List.length (index_builds optimize));
-  (* Warm: both are cached, so no build runs and no span is left. *)
+  (* Warm: all are cached, so no build runs and no span is left. *)
   let root = traced "count(doc(\"nested.xml\")//a/select-narrow::b)" in
-  Alcotest.(check (list (pair string int))) "nothing built" [] (index_builds root)
+  Alcotest.(check (list (triple string string int)))
+    "nothing built" [] (index_builds root)
+
+let test_trace_value_index_build_spans () =
+  let coll = nested_coll 100 in
+  let e = Engine.create ~cache:Engine.Cache_off coll in
+  let traced q =
+    let trace = Trace.create () in
+    let r = Engine.run e ~trace q in
+    (r.Engine.serialized, Trace.finish trace)
+  in
+  let q = "count((doc(\"nested.xml\")//a)[@start = \"10\"])" in
+  ignore (traced "count(doc(\"nested.xml\")//a)");
+  (* The guide is warm; the first value lookup builds the index of the
+     [start] attribute (200 rows: every a and b), under the operator
+     that probes it. *)
+  let out, root = traced q in
+  Alcotest.(check string) "one a starts at 10" "1" out;
+  Alcotest.(check (list (triple string string int)))
+    "value index built cold" [ ("attr-value", "cold", 200) ] (index_builds root);
+  let lookup =
+    List.hd
+      (Trace.find_all
+         (fun sp -> String.starts_with ~prefix:"path-lookup" (Trace.name sp))
+         root)
+  in
+  Alcotest.(check (list (triple string string int)))
+    "the build nests in the probing operator"
+    [ ("attr-value", "cold", 200) ]
+    (index_builds lookup);
+  Alcotest.(check (option int)) "value_hits" (Some 1)
+    (Trace.int_attr lookup "value_hits");
+  let _, root = traced q in
+  Alcotest.(check (list (triple string string int)))
+    "warm: nothing built" [] (index_builds root);
+  (* An update bumps the document's generation: both the guide and the
+     value index rebuild on the next probe, and the answer moves. *)
+  let doc =
+    Collection.doc coll (Option.get (Collection.doc_id_of_name coll "nested.xml"))
+  in
+  Engine.set_region e Config.default doc ~pre:2
+    (Standoff_interval.Region.make 10L 19L);
+  let out, root = traced "count((doc(\"nested.xml\")//a)[@start = \"10\"])" in
+  Alcotest.(check string) "two a start at 10 after the update" "2" out;
+  Alcotest.(check (list string)) "rebuilt after the update"
+    [ "dataguide"; "attr-value" ]
+    (List.map (fun (index, _, _) -> index) (index_builds root))
 
 (* ------------------------------------------------------------------ *)
 (* Slow-query log                                                      *)
@@ -567,6 +620,8 @@ let () =
             test_trace_forced_by_env;
           Alcotest.test_case "index-build spans, cold and warm" `Quick
             test_trace_index_build_spans;
+          Alcotest.test_case "value-index build spans and staleness" `Quick
+            test_trace_value_index_build_spans;
         ] );
       ( "slow-log",
         [

@@ -269,6 +269,43 @@ let test_equivalence_xmark () =
         (String.length planned > 0))
     Queries.all
 
+let test_value_pushdown () =
+  (* The point lookups: [[@id = "…"]] becomes a value restriction of
+     the operator that produces the candidates — the StandOff join's
+     candidate set in the stand-off form, the child step in the
+     standard form — and no filter operator is left. *)
+  let setup = Setup.build ~scale:0.002 ~with_standard:true () in
+  let engine = setup.Setup.engine in
+  let so = setup.Setup.standoff_doc and st = setup.Setup.standard_doc in
+  List.iter
+    (fun (what, text, restricted) ->
+      let plan = Engine.explain engine text in
+      check_contains what plan restricted;
+      check_absent what plan "filter";
+      check_contains (what ^ " direct")
+        (Engine.explain engine ~optimize:false text)
+        "filter";
+      check_contains (what ^ " analyze")
+        (Engine.explain_analyze engine text)
+        "value_hits=1";
+      let direct, planned = both_paths engine text in
+      Alcotest.(check string) (what ^ " = direct") direct planned;
+      Alcotest.(check bool) (what ^ " non-empty") true (String.length planned > 0))
+    [
+      ( "Q1 standoff",
+        Queries.q1.Queries.standoff so,
+        "candidates=elements(person)[@id = \"person0\"]" );
+      ( "Q1 standard",
+        Queries.q1.Queries.standard st,
+        "step child::person[@id = \"person0\"]" );
+      ( "A1 standoff",
+        Queries.a1.Queries.standoff so,
+        "candidates=elements(open_auction)[@id = \"open_auction0\"]" );
+      ( "A1 standard",
+        Queries.a1.Queries.standard st,
+        "step child::open_auction[@id = \"open_auction0\"]" );
+    ]
+
 let () =
   Alcotest.run "plan"
     [
@@ -280,6 +317,8 @@ let () =
           Alcotest.test_case "strategy selection" `Quick test_strategy_selection;
           Alcotest.test_case "positional fusion" `Quick test_positional_fusion;
           Alcotest.test_case "name fusion" `Quick test_name_fusion;
+          Alcotest.test_case "attribute-value pushdown" `Quick
+            test_value_pushdown;
           Alcotest.test_case "constant folding" `Quick test_constant_folding;
           Alcotest.test_case "explain analyze" `Quick test_explain_analyze;
           Alcotest.test_case "explain analyze xmark regression" `Quick

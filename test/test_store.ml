@@ -7,6 +7,7 @@ module Parser = Standoff_xml.Parser
 module Doc = Standoff_store.Doc
 module Collection = Standoff_store.Collection
 module Blob = Standoff_store.Blob
+module Attr_index = Standoff_store.Attr_index
 module Region = Standoff_interval.Region
 module Area = Standoff_interval.Area
 
@@ -153,6 +154,52 @@ let qcheck_size_is_descendant_count =
 (* ------------------------------------------------------------ *)
 (* Collection                                                     *)
 
+(* The attribute-value index against a scan of the attribute table:
+   random trees whose elements carry [k] and [j] from small domains
+   (so values repeat and some are empty), probed for every value and
+   for names and values the document does not use. *)
+let gen_attr_tree =
+  let open QCheck.Gen in
+  let value = oneofl [ ""; "0"; "1"; "2"; "x\"]y" ] in
+  let attrs =
+    map2
+      (fun k j ->
+        List.filter_map Fun.id
+          [ Option.map (fun v -> ("k", v)) k; Option.map (fun v -> ("j", v)) j ])
+      (opt value) (opt value)
+  in
+  let rec node depth =
+    if depth = 0 then return (Dom.text "t")
+    else
+      map3
+        (fun tag attrs children -> Dom.element ~attrs tag children)
+        (oneofl [ "a"; "b" ])
+        attrs
+        (list_size (0 -- 3) (node (depth - 1)))
+  in
+  map
+    (fun children -> Dom.document (Dom.element "root" children))
+    (list_size (0 -- 5) (node 3))
+
+let qcheck_attr_index_probe =
+  QCheck.Test.make ~name:"attribute-value probe = attribute scan" ~count:300
+    (QCheck.make ~print:Standoff_xml.Serializer.to_string gen_attr_tree)
+    (fun dom ->
+      let d = Doc.of_dom ~name:"t.xml" dom in
+      List.for_all
+        (fun name ->
+          let index = Attr_index.get ~generation:0 d name in
+          List.for_all
+            (fun value ->
+              let expected =
+                List.filter
+                  (fun pre -> Doc.attribute d pre name = Some value)
+                  (List.init (Doc.node_count d) Fun.id)
+              in
+              Array.to_list (Attr_index.probe d index value) = expected)
+            [ ""; "0"; "1"; "2"; "3"; "x\"]y" ])
+        [ "k"; "j"; "absent" ])
+
 let test_collection_basics () =
   let coll = Collection.create () in
   let id1 = Collection.load_string coll ~name:"one.xml" "<a><b/></a>" in
@@ -219,6 +266,7 @@ let () =
           Alcotest.test_case "leaves have no children" `Quick
             test_iter_children_leaf;
           QCheck_alcotest.to_alcotest qcheck_shred_invariants;
+          QCheck_alcotest.to_alcotest qcheck_attr_index_probe;
           QCheck_alcotest.to_alcotest qcheck_shred_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_size_is_descendant_count;
         ] );
